@@ -12,9 +12,12 @@ line integral along the ray leaving x away from y,
 
     I = |x-y| * J0 + J1,   Jm = integral w(x + t e) t^m dt,
 
-which is the form everything below evaluates: the ray is clipped to B
-exactly (a quadratic), and w restricted to a segment is a polynomial of
-degree 8, so Gauss-Legendre nodes integrate J0 and J1 exactly.
+which is the form everything below evaluates.  On the ray, with
+b = e.(x - z0), Delta = b^2 - |x - z0|^2 + rho^2 and s = t + b, the bump
+is c rho^-8 (Delta - s^2)^4, so the chord of B is s in
+[max(-sqrt(Delta), b), sqrt(Delta)] and both integrals are closed-form:
+J0 is a degree-9 antiderivative in s, and J1 = c rho^-8 (Delta -
+s_lo^2)^5 / 10 - b J0.
 
 Densities are cell fields on a uniform grid clipped to the domain
 (outside cells keep value and measure zero).  The outer integral is a
@@ -26,7 +29,7 @@ containing it, where only the angular integral needs quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from orlicz.spaces import SampledField, grid_gradient, luxemburg_norm, modular, 
 from orlicz.young import YoungFunction
 
 __all__ = [
-    "QuadratureSpec",
     "StarDomain",
     "DomainDecomposition",
     "grid_field",
@@ -49,29 +51,12 @@ __all__ = [
 ]
 
 
-def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Knobs for the three quadrature layers.
-
-    inner_nodes: Gauss-Legendre count for the ray integrals; 5 nodes
-    already integrate the degree-9 integrand exactly, larger counts only
-    buy insurance.  near_radius is in units of the grid spacing;
-    near_refine subdivides each near cell per axis.  singular_theta is
-    the angular node count of the polar rule on the cell containing x.
-    """
-
-    inner_nodes: int = 16
-    near_radius: float = 2.5
-    near_refine: int = 4
-    singular_theta: int = 96
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# Outer quadrature: cells within _NEAR_RADIUS grid spacings of x use a
+# midpoint rule refined _NEAR_REFINE times per axis; the cell containing
+# x uses a polar rule with _SINGULAR_THETA angular nodes.
+_NEAR_RADIUS = 2.5
+_NEAR_REFINE = 4
+_SINGULAR_THETA = 96
 
 
 class StarDomain:
@@ -243,49 +228,45 @@ def _grid_spacing(u):
 # kernel evaluation
 
 
-def _ray_integrals(x, e, D, nodes_w):
+def _ray_integrals(x, e, D):
     """J0 = int w(x + t e) dt and J1 = int w(x + t e) t dt over t >= 0.
 
-    The segment is the exact chord of the support ball cut by the ray;
-    rays that miss contribute zero.  Vectorized over leading axes of e.
+    Exact antiderivatives over the chord of the support ball cut by the
+    ray (see the module docstring); rays that miss contribute zero.
+    Vectorized over leading axes of e.
     """
-    gl_x, gl_w = nodes_w
-    z0 = D.ball_center
-    rho = D.ball_radius
-    xz = x - z0
-    b = e @ xz if e.ndim == 1 else np.sum(e * xz, axis=-1)
-    c0 = float(xz @ xz) - rho * rho
-    disc = b * b - c0
-    hit = disc > 0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    t_lo = np.maximum(-b - sq, 0.0)
-    t_hi = -b + sq
-    hit &= t_hi > 0
-    half = 0.5 * (t_hi - t_lo)
-    mid = 0.5 * (t_hi + t_lo)
-    # nodes: (..., k)
-    ts = mid[..., None] + half[..., None] * gl_x
-    pts = x + ts[..., None] * e[..., None, :]
-    w = D.mollifier(pts)
-    J0 = half * np.sum(w * gl_w, axis=-1)
-    J1 = half * np.sum(w * ts * gl_w, axis=-1)
-    J0 = np.where(hit, J0, 0.0)
-    J1 = np.where(hit, J1, 0.0)
-    return J0, J1
+    xz = x - D.ball_center
+    rho2 = D.ball_radius ** 2
+    b = np.sum(e * xz, axis=-1)
+    delta = b * b - float(xz @ xz) + rho2
+    s_hi = np.sqrt(np.maximum(delta, 0.0))
+    s_lo = np.maximum(-s_hi, b)
+    hit = s_hi > s_lo
+    scale = 5.0 / (math.pi * rho2 * rho2 ** 4)   # c rho^-8, c of the bump
+
+    def anti(s):
+        # antiderivative of (delta - s^2)^4, Horner form in s^2
+        u = s * s
+        return s * (delta ** 4 + u * (-4.0 / 3.0 * delta ** 3 + u * (
+            1.2 * delta ** 2 + u * (-4.0 / 7.0 * delta + u / 9.0))))
+
+    J0 = scale * (anti(s_hi) - anti(s_lo))
+    J1 = scale * (delta - s_lo * s_lo) ** 5 / 10.0 - b * J0
+    return np.where(hit, J0, 0.0), np.where(hit, J1, 0.0)
 
 
-def _kernel_at(x, Y, D, nodes_w):
+def _kernel_at(x, Y, D):
     """k(x, y) for y in rows of Y: (x-y)/|x-y|^2 * (|x-y| J0 + J1)."""
     d = x - Y
     dist = np.sqrt(np.sum(d * d, axis=-1))
     safe = np.where(dist > 0, dist, 1.0)
     e = d / safe[..., None]
-    J0, J1 = _ray_integrals(x, e, D, nodes_w)
+    J0, J1 = _ray_integrals(x, e, D)
     scale = np.where(dist > 0, J0 / safe + J1 / safe ** 2, 0.0)
     return d * scale[..., None]
 
 
-def _singular_cell_kernel_integral(x, cell_center, h, D, q, nodes_w):
+def _singular_cell_kernel_integral(x, cell_center, h, D):
     """integral of k(x, .) over the grid cell containing x.
 
     In polar coordinates around x the kernel is -n(theta)(J0 + J1/r),
@@ -293,7 +274,7 @@ def _singular_cell_kernel_integral(x, cell_center, h, D, q, nodes_w):
     integral = -int n(theta) (J0 R^2/2 + J1 R) dtheta with R the exit
     distance of the ray from x to the cell boundary.
     """
-    m = q.singular_theta
+    m = _SINGULAR_THETA
     theta = (np.arange(m) + 0.5) * (2 * math.pi / m)
     n_dir = np.column_stack([np.cos(theta), np.sin(theta)])
     lo = cell_center - 0.5 * h
@@ -306,7 +287,7 @@ def _singular_cell_kernel_integral(x, cell_center, h, D, q, nodes_w):
                       np.where(n_dir[:, 1] < 0, (lo[1] - x[1]) / n_dir[:, 1],
                                np.inf))
     R = np.minimum(tx, ty)
-    J0, J1 = _ray_integrals(x, -n_dir, D, nodes_w)
+    J0, J1 = _ray_integrals(x, -n_dir, D)
     radial = J0 * R * R / 2.0 + J1 * R
     dtheta = 2 * math.pi / m
     return -dtheta * (n_dir * radial[:, None]).sum(axis=0)
@@ -321,20 +302,20 @@ def _project_mean_zero(f, report):
     return f
 
 
-def bogovskii_apply(f, x, D, q=None, _prepared=None, report=None):
+def bogovskii_apply(f, x, D, _prepared=None, report=None):
     """The solution field at one point x.
 
     f is a clipped grid field on D (see grid_field).  x on a gridline of
     its own cell is nudged toward the cell centroid by h * 1e-6 and the
     shift is recorded in the report dict when one is supplied.
     """
-    q = q or DEFAULT_QUAD
     if report is None:
         report = {}
     if _prepared is None:
         f = _project_mean_zero(f, report)
-        _prepared = _prepare_cells(f, q)
-    nodes_w, far_Y, far_w, sub_Y, sub_w, sub_owner, cent, h = _prepared
+        _prepared = _prepare_cells(f)
+    sub_Y, sub_w, sub_owner, h = _prepared
+    cent, meas = f.centroids, f.measures
     x = np.asarray(x, dtype=float)
 
     # locate the cell of x on the grid; nudge off internal gridlines
@@ -350,35 +331,33 @@ def bogovskii_apply(f, x, D, q=None, _prepared=None, report=None):
 
     vals = f.values
     u = np.zeros(2)
-    active = (far_w > 0) & (vals != 0)
-    near_mask = d_all <= q.near_radius * h + 0.5 * h
+    active = (meas > 0) & (vals != 0)
+    near_mask = d_all <= _NEAR_RADIUS * h + 0.5 * h
     if own >= 0:
         near_mask[own] = False
 
     far_idx = np.nonzero(~near_mask & active)[0]
     if far_idx.size:
-        k = _kernel_at(x, far_Y[far_idx], D, nodes_w)
-        u += (far_w[far_idx] * vals[far_idx]) @ k
+        k = _kernel_at(x, cent[far_idx], D)
+        u += (meas[far_idx] * vals[far_idx]) @ k
 
     near_lookup = near_mask & active
     if np.any(near_lookup):
         take = near_lookup[sub_owner]
         Ys = sub_Y[take]
-        k = _kernel_at(x, Ys, D, nodes_w)
+        k = _kernel_at(x, Ys, D)
         u += (sub_w[take] * vals[sub_owner[take]]) @ k
 
     if own >= 0 and active[own]:
-        cell_int = _singular_cell_kernel_integral(
-            x, cent[own], h, D, q, nodes_w)
+        cell_int = _singular_cell_kernel_integral(x, cent[own], h, D)
         u += vals[own] * cell_int
     return u
 
 
-def _prepare_cells(f, q):
+def _prepare_cells(f):
     cent = f.centroids
     h = _grid_spacing(f)
-    nodes_w = _leggauss(q.inner_nodes)
-    r = q.near_refine
+    r = _NEAR_REFINE
     # subcell midpoints for the refined near-field midpoint rule
     offs = (np.arange(r) + 0.5) / r - 0.5
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
@@ -386,7 +365,7 @@ def _prepare_cells(f, q):
     sub_owner = np.repeat(np.arange(f.n_cells), r * r)
     sub_Y = (cent[:, None, :] + off[None, :, :]).reshape(-1, 2)
     sub_w = np.repeat(f.measures / (r * r), r * r)
-    return nodes_w, cent, f.measures, sub_Y, sub_w, sub_owner, cent, h
+    return sub_Y, sub_w, sub_owner, h
 
 
 def _erode(inside, rings=2):
@@ -415,7 +394,7 @@ def _div_residual(div, fv, interior):
     return num / den if den > 0 else 0.0
 
 
-def bogovskii_field(f, D, q=None):
+def bogovskii_field(f, D):
     """Solution field, gradient and divergence on f's own grid.
 
     Returns a dict with the vector field u, the finite-difference
@@ -424,16 +403,15 @@ def bogovskii_field(f, D, q=None):
     two rings, see _erode), and the boundary-adjacent |u| statistics
     used by the zero-trace check.
     """
-    q = q or DEFAULT_QUAD
     report = {}
     f = _project_mean_zero(f, report)
-    prepared = _prepare_cells(f, q)
+    prepared = _prepare_cells(f)
     n = _grid_shape(f)
     h = prepared[-1]
     cent = f.centroids
     U = np.empty((f.n_cells, 2))
     for i in range(f.n_cells):
-        U[i] = bogovskii_apply(f, cent[i], D, q, _prepared=prepared)
+        U[i] = bogovskii_apply(f, cent[i], D, _prepared=prepared)
     u_field = SampledField(cent, f.measures, U)
 
     ug = U.reshape(n, n, 2)
@@ -605,7 +583,7 @@ def decomposition_norm_bound(f, dec):
     return bounds
 
 
-def bogovskii_general(f, dec, q=None):
+def bogovskii_general(f, dec):
     """Solution field on a union of star-shaped subdomains.
 
     Splits f, solves each piece on its own subdomain over the shared
@@ -614,12 +592,11 @@ def bogovskii_general(f, dec, q=None):
     each subdomain (the per-subdomain residuals are the meaningful ones
     near the junctions, where the union's staircase is the roughest).
     """
-    q = q or DEFAULT_QUAD
     pieces = split_function(f, dec)
     total = np.zeros((f.n_cells, 2))
     sub_reports = []
     for fi, D in zip(pieces, dec.subdomains):
-        rep = bogovskii_field(fi, D, q)
+        rep = bogovskii_field(fi, D)
         sub_reports.append(rep)
         total += rep["u"].values
     u_field = SampledField(f.centroids, f.measures, total)

@@ -373,8 +373,7 @@ def _drive_bogovskii_run(p, out):
     else:
         f = _load_scalar_field(p["f"], p["grid"], "params.f")
     A, B = _parse_pair_flag(p["pair"], "params.pair")
-    q = bogovskii.QuadratureSpec(inner_nodes=int(p["quad"]))
-    rep = bogovskii.bogovskii_field(f, D, q)
+    rep = bogovskii.bogovskii_field(f, D)
     gmag = rep["gradient"].magnitude_field()
     nf = luxemburg_norm(rep["f"], A)
     grad_c = luxemburg_norm(gmag, B) / nf if nf > 0 else 0.0
@@ -629,14 +628,13 @@ def _random_disk_density(rng):
 
 def _drive_bogovskii_disk(p, out):
     D = bogovskii.StarDomain.disk()
-    q = bogovskii.QuadratureSpec(inner_nodes=int(p["quad"]))
     kink = _expressions()["kink"]
     assertions = []
 
     res_rows = []
     for grid, bound in zip(p["grids"], p["residual_bounds"]):
         rep = bogovskii.bogovskii_field(
-            bogovskii.grid_field(D, kink, int(grid)), D, q)
+            bogovskii.grid_field(D, kink, int(grid)), D)
         res_rows.append((int(grid), rep["div_residual"], float(bound)))
         assertions.append(_check(
             "divergence residual at %d^2" % int(grid),
@@ -648,7 +646,7 @@ def _drive_bogovskii_disk(p, out):
     for _ in range(int(p["n_random"])):
         f = bogovskii.grid_field(D, _random_disk_density(rng),
                                  int(p["stability_grid"]))
-        reports.append(bogovskii.bogovskii_field(f, D, q))
+        reports.append(bogovskii.bogovskii_field(f, D))
     stab_rows = []
     for literal in p["pairs"]:
         A, B = _parse_pair_flag(literal, "params.pairs")
@@ -676,7 +674,7 @@ def _drive_bogovskii_disk(p, out):
     held_rows = []
     for name, fn in held:
         rep = bogovskii.bogovskii_field(
-            bogovskii.grid_field(D, fn, int(p["stability_grid"])), D, q)
+            bogovskii.grid_field(D, fn, int(p["stability_grid"])), D)
         r = bogovskii.check_rearrangement_estimate(
             rep["f"], rep["gradient"], C, n_s=int(p["n_s"]))
         held_rows.append((name, r["least_C"], r["ok"]))
@@ -729,9 +727,13 @@ def _drive_domain_split(p, out):
 
 def _drive_negative_norm(p, out):
     n = int(p["n"])
-    fam = negnorm.TestFamily.bubbles((0.0, 0.0), (1.0, 1.0),
-                                     depth=int(p["depth"]))
-    prefix = {1: 2, 2: 10, 3: 42}
+    depth = int(p["depth"])
+    if depth < 2:
+        raise UsageError("params.depth must be at least 2: the enrichment "
+                         "check compares two levels (got %d)" % depth)
+    fam = negnorm.TestFamily.bubbles((0.0, 0.0), (1.0, 1.0), depth=depth)
+    depths = range(1, depth + 1)
+    prefix = {d: sum(m.scale < d for m in fam.members) for d in depths}
     corpus = [(name, _square_field(name, n))
               for name in ("step_x", "step_y", "sine", "ramp", "poly",
                            "trig", "gauss", "crease", "bulge", "checker")]
@@ -748,35 +750,35 @@ def _drive_negative_norm(p, out):
 
     A2, _ = _parse_pair_flag(p["pairs"][0], "params.pairs")
     ratios0 = negnorm.member_ratios(corpus[0][1], A2, fam)
-    lows = [float(np.max(ratios0[:prefix[d]])) for d in (1, 2, 3)]
+    lows = [float(np.max(ratios0[:prefix[d]])) for d in depths]
     h = 1.0 / n
     xs = (np.arange(n) + 0.5) * h
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     sym = SampledField.from_grid(np.sin(math.pi * X)
                                  * np.sin(math.pi * Y), h)
     ratios_sym = negnorm.member_ratios(sym, A2, fam)
-    picked_up = (float(np.max(ratios_sym[:2])) < 1e-12
-                 and float(np.max(ratios_sym[:10])) > 0.1)
+    picked_up = (float(np.max(ratios_sym[:prefix[1]])) < 1e-12
+                 and float(np.max(ratios_sym[:prefix[2]])) > 0.1)
     assertions.append(_check(
         "lower bound monotone under enrichment",
-        lows[0] <= lows[1] <= lows[2] and picked_up, lows, None))
+        lows == sorted(lows) and picked_up, lows, None))
 
     band_rows = []
     for literal in p["pairs"]:
         A, B = _parse_pair_flag(literal, "params.pairs")
-        per_depth = {1: [], 2: [], 3: []}
+        per_depth = {d: [] for d in depths}
         certified = True
         for name, u in corpus:
             w = u.mean_zero_project()
             nA = luxemburg_norm(w, A)
             nB = luxemburg_norm(w, B)
             ratios = negnorm.member_ratios(u, A, fam)
-            for d in (1, 2, 3):
+            for d in depths:
                 lower = float(np.max(ratios[:prefix[d]]))
                 certified = certified and lower / nA <= 2.0
                 per_depth[d].append(lower / nB)
         bands = {d: max(r) / min(r) for d, r in per_depth.items()}
-        band_rows.extend((literal, d, bands[d]) for d in (1, 2, 3))
+        band_rows.extend((literal, d, bands[d]) for d in depths)
         assertions.append(_check(
             "ratio band within factor 4 for %s" % literal,
             certified and max(bands.values()) <= 4.0,
@@ -947,7 +949,7 @@ EXPERIMENTS = {
     "bogovskii_run": {
         "driver": _drive_bogovskii_run,
         "params": {"domain": "disk", "f": "kink", "grid": 64,
-                   "quad": 16, "pair": "power:2:power:2",
+                   "pair": "power:2:power:2",
                    "rearr_c": 2.5, "n_s": 100},
     },
     "negnorm_field": {
@@ -997,7 +999,7 @@ EXPERIMENTS = {
     "bogovskii_disk": {
         "driver": _drive_bogovskii_disk,
         "params": {"grids": [64, 128], "residual_bounds": [0.05, 0.025],
-                   "quad": 16, "stability_grid": 32, "n_random": 5,
+                   "stability_grid": 32, "n_random": 5,
                    "pairs": ["power:2:power:2", "zygmund:1:1:power:1"],
                    "rearr_c": 2.5, "n_s": 100, "seed": 7},
     },
@@ -1146,9 +1148,8 @@ def cmd_bogovskii(args):
     _parse_pair_flag(args.pair, "--pair")
     cfg = {"schema": SCHEMA, "experiment": "bogovskii_run",
            "params": {"domain": args.domain, "f": args.f,
-                      "grid": args.grid, "quad": args.quad,
-                      "pair": args.pair, "rearr_c": args.rearr_c,
-                      "n_s": 100}}
+                      "grid": args.grid, "pair": args.pair,
+                      "rearr_c": args.rearr_c, "n_s": 100}}
     if args.id:
         cfg["id"] = args.id
     return _run_one(cfg, out_flag=args.out)
@@ -1269,8 +1270,6 @@ def build_parser():
     sp.add_argument("--f", default="kink",
                     help="expression name or .csv density")
     sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--quad", type=int, default=16,
-                    help="Gauss-Legendre nodes on the ray integrals")
     sp.add_argument("--pair", default="power:2:power:2")
     sp.add_argument("--rearr-c", type=float, default=2.5, dest="rearr_c")
     common(sp)

@@ -37,7 +37,6 @@ __all__ = [
     "compute_infsup",
     "projection_apply",
     "evaluate_velocity",
-    "velocity_gradient_samples",
     "check_local_stability",
     "check_orlicz_projection_stability",
     "pressure_error_study",
@@ -419,11 +418,6 @@ class FESpacePair:
                         "shapes": shapes, "grads": grads}
         return self._tables
 
-    def quad_points(self, t):
-        """Cartesian quadrature points and weights (already x area)."""
-        tab = self.tables()
-        return tab["qpts"][t], tab["qw"][t]
-
     def _scatter(self, local):
         """Accumulate (T, L, 2) per-node, per-component values into a
         velocity vector."""
@@ -543,13 +537,6 @@ class FESpacePair:
         return SampledField(tab["qpts"].reshape(-1, 2),
                             tab["qw"].ravel(), vals)
 
-    def sample_function(self, f):
-        """Quadrature sampling of a callable as a field."""
-        tab = self.tables()
-        pts = tab["qpts"].reshape(-1, 2)
-        return SampledField(pts, tab["qw"].ravel(),
-                            np.asarray(f(pts), float))
-
 
 def evaluate_velocity(V, coeffs, pts):
     """Velocity field values at arbitrary points (brute-force element
@@ -575,10 +562,6 @@ def evaluate_velocity(V, coeffs, pts):
                 out[i, 1] += coeffs[2 * d + 1] * shapes[a]
             break
     return out
-
-
-def velocity_gradient_samples(V, coeffs):
-    return V.gradient_samples(coeffs)
 
 
 # -- pressure system -----------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from orlicz.spaces import SampledField, luxemburg_norm, pairing
-from orlicz.young import check_balance
+from orlicz.young import check_balance, young_to_json
 
 __all__ = [
     "BubbleMember",
@@ -111,7 +111,6 @@ class TestFamily:
     def __init__(self, members):
         self.members = list(members)
         self._norm_cache = {}
-        self._keep = []
 
     @staticmethod
     def bubbles(lo, hi, depth=3):
@@ -134,11 +133,10 @@ class TestFamily:
         return len(self.members)
 
     def grad_norm(self, idx, Atilde):
-        key = (idx, id(Atilde))
+        key = (idx, young_to_json(Atilde))
         if key not in self._norm_cache:
             field = self.members[idx].grad_magnitude_field()
             self._norm_cache[key] = luxemburg_norm(field, Atilde)
-            self._keep.append(Atilde)
         return self._norm_cache[key]
 
     def pairing(self, idx, u):

@@ -1,4 +1,4 @@
-"""Divergence-operator tests: kernel quadrature, estimates, splitting.
+"""Divergence-operator tests: kernel integrals, estimates, splitting.
 
 The disk experiments use the density f(y) = |y| - 2/3, mean-zero on the
 unit disk because the mean of |y| there is (1/pi) int_0^2pi int_0^1 r*r
@@ -15,8 +15,8 @@ import pytest
 
 from orlicz.bogovskii import (
     DomainDecomposition,
-    QuadratureSpec,
     StarDomain,
+    _ray_integrals,
     bogovskii_apply,
     bogovskii_field,
     bogovskii_general,
@@ -110,15 +110,62 @@ def test_linearity_exact():
     assert np.max(np.abs(uc - (2 * ua - 3 * ub))) < 1e-12
 
 
-def test_inner_quadrature_is_exact_for_the_bump():
-    # the bump restricted to any line is a degree-8 polynomial, so both
-    # node counts integrate the ray integrals exactly and the fields
-    # agree to roundoff
-    f = grid_field(DISK, lambda X, Y: X * Y + np.sin(Y), 20).mean_zero_project()
-    x = np.array([0.21, -0.17])
-    u8 = bogovskii_apply(f, x, DISK, QuadratureSpec(inner_nodes=8))
-    u16 = bogovskii_apply(f, x, DISK, QuadratureSpec(inner_nodes=16))
-    assert np.max(np.abs(u8 - u16)) < 1e-12 * max(1.0, np.max(np.abs(u16)))
+def _gauss_ray_integrals(x, e, D):
+    """Oracle: Gauss-Legendre on the clipped chord, one ray at a time.
+
+    The bump on a line is a degree-8 polynomial, so 16 nodes integrate
+    J0 and J1 exactly up to roundoff.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    xz = x - D.ball_center
+    b = float(e @ xz)
+    disc = b * b - float(xz @ xz) + D.ball_radius ** 2
+    if disc <= 0:
+        return 0.0, 0.0
+    t_lo = max(-b - math.sqrt(disc), 0.0)
+    t_hi = -b + math.sqrt(disc)
+    if t_hi <= t_lo:
+        return 0.0, 0.0
+    half, mid = 0.5 * (t_hi - t_lo), 0.5 * (t_hi + t_lo)
+    ts = mid + half * gx
+    w = D.mollifier(x + ts[:, None] * e)
+    return half * float(np.sum(w * gw)), half * float(np.sum(w * ts * gw))
+
+
+def test_ray_integrals_match_gauss_legendre_oracle():
+    rng = np.random.default_rng(3)
+    D = StarDomain(DISK.vertices, (0.1, -0.2), 0.45, check=False)
+    rays = []
+    for _ in range(40):
+        # start inside the ball, any direction
+        r = D.ball_radius * math.sqrt(rng.uniform())
+        a, th = rng.uniform(0, 2 * math.pi, 2)
+        rays.append((D.ball_center + r * np.array([math.cos(a), math.sin(a)]),
+                     np.array([math.cos(th), math.sin(th)])))
+    for _ in range(40):
+        # start outside: aim at a random ball point (hits), or away (misses)
+        a, th = rng.uniform(0, 2 * math.pi, 2)
+        x = D.ball_center + rng.uniform(1.2, 4.0) * D.ball_radius * \
+            np.array([math.cos(a), math.sin(a)])
+        target = D.ball_center + 0.9 * D.ball_radius * \
+            np.array([math.cos(th), math.sin(th)])
+        e = (target - x) / np.linalg.norm(target - x)
+        rays.append((x, e))
+        rays.append((x, -e))
+    for eps in (1e-3, 1e-6, 1e-9, -1e-9):
+        # near-tangent: offset rho (1 - eps) from the center, both sides
+        for sign in (1.0, -1.0):
+            x = D.ball_center + np.array([-2.0, sign * D.ball_radius
+                                          * (1 - eps)])
+            rays.append((x, np.array([1.0, 0.0])))
+    got = np.array([np.array(_ray_integrals(x, e[None, :], D))[:, 0]
+                    for x, e in rays])
+    want = np.array([_gauss_ray_integrals(x, e, D) for x, e in rays])
+    assert np.sum(want[:, 0] == 0.0) >= 40       # the misses
+    assert np.sum(want[:, 0] > 0.0) >= 80        # the hits
+    for j in (0, 1):
+        scale = np.max(np.abs(want[:, j]))
+        assert np.max(np.abs(got[:, j] - want[:, j])) <= 1e-13 * scale
 
 
 def test_gridline_evaluation_shifts_and_reports():
@@ -160,14 +207,10 @@ def test_disk_divergence_residual_64(disk64):
     assert disk64["div_residual"] < 0.05
 
 
-def test_residual_decreases_under_refinement(disk64):
-    levels = [(16, QuadratureSpec(8, 2.5, 2, 48)),
-              (32, QuadratureSpec(12, 2.5, 3, 64))]
-    res = []
-    for n, q in levels:
-        f = grid_field(DISK, kink, n)
-        res.append(bogovskii_field(f, DISK, q)["div_residual"])
-    res.append(disk64["div_residual"])
+def test_residual_decreases_under_refinement(disk32, disk64):
+    f = grid_field(DISK, kink, 16)
+    res = [bogovskii_field(f, DISK)["div_residual"],
+           disk32["div_residual"], disk64["div_residual"]]
     for a, b in zip(res, res[1:]):
         assert b <= 1.1 * a
 

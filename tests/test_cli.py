@@ -98,6 +98,37 @@ def test_fem_infsup_matches_frozen_value(tmp_path):
     assert rows[0][2] == "eigen"
 
 
+def test_bogovskii_writes_field(tmp_path):
+    rc = run_cli("bogovskii", "--grid", "16", "--out", str(tmp_path),
+                 "--id", "bg")
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "bg_field.csv")
+    assert len(rows) == 16 * 16
+    assert read_report(tmp_path, "bg")["data"]["div_residual"] < 0.1
+
+
+def test_removed_quad_param_rejected(tmp_path, capsys):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "bogovskii_run",
+                               "params": {"grid": 16, "quad": 16}}))
+    rc = run_cli("run", str(cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert "params.quad" in capsys.readouterr().err
+
+
+def test_negative_norm_bands_follow_depth(tmp_path, capsys):
+    assert run_cli("run", "negnorm", "--depth", "1", "--grid", "16",
+                   "--out", str(tmp_path)) == 2
+    assert "params.depth" in capsys.readouterr().err
+    # k=4 is too coarse for the 2% approximant assertion, so only the
+    # bands table is checked, not the exit code
+    run_cli("run", "negnorm", "--depth", "2", "--grid", "16",
+            "--set", "k=4", "--out", str(tmp_path))
+    header, rows = read_csv(tmp_path / "negative_norm_bands.csv")
+    assert header == ["pair", "depth", "band"]
+    assert sorted({int(r[1]) for r in rows}) == [1, 2]
+
+
 def test_malformed_pair_names_flag(tmp_path, capsys):
     rc = run_cli("negnorm", "--u", "step_x", "--pair", "power:nope",
                  "--out", str(tmp_path))
