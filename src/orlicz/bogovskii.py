@@ -17,13 +17,19 @@ b = e.(x - z0), Delta = b^2 - |x - z0|^2 + rho^2 and s = t + b, the bump
 is c rho^-8 (Delta - s^2)^4, so the chord of B is s in
 [max(-sqrt(Delta), b), sqrt(Delta)] and both integrals are closed-form:
 J0 is a degree-9 antiderivative in s, and J1 = c rho^-8 (Delta -
-s_lo^2)^5 / 10 - b J0.
+s_lo^2)^5 / 10 - b J0.  J0 is evaluated in Horner form in s^2 with
+coefficients built once from Delta^2 and shared by both chord ends;
+every power is a product, never `**`.
 
 Densities are cell fields on a uniform grid clipped to the domain
 (outside cells keep value and measure zero).  The outer integral is a
 midpoint rule over far cells, a refined midpoint rule over cells near
 the evaluation point, and an exact-in-radius polar rule over the cell
-containing it, where only the angular integral needs quadrature.
+containing it, where only the angular integral needs quadrature.  One
+evaluator serves one point and a whole grid alike: it takes targets in
+blocks of a fixed kernel-evaluation budget, evaluates the far field of
+a block as one (targets x cells) array, and adds the near cells and
+the singular cell as gathered per-target corrections.
 """
 
 from __future__ import annotations
@@ -57,6 +63,11 @@ __all__ = [
 _NEAR_RADIUS = 2.5
 _NEAR_REFINE = 4
 _SINGULAR_THETA = 96
+
+# Targets are evaluated in blocks of at most this many kernel
+# evaluations in the far field and again in the near field, so a
+# block's temporaries stay near 256 KiB each.
+_PAIR_BLOCK = 1 << 15
 
 
 class StarDomain:
@@ -233,64 +244,163 @@ def _ray_integrals(x, e, D):
 
     Exact antiderivatives over the chord of the support ball cut by the
     ray (see the module docstring); rays that miss contribute zero.
-    Vectorized over leading axes of e.
+    x = (x0, x1) and e = (e0, e1) hold the components of the origins
+    and unit directions as separate arrays that broadcast together, so
+    an (n, 2) array of points goes in transposed.  Every power of Delta
+    is a product.  The arithmetic runs in place where it can: on
+    block-sized arrays a fresh temporary (allocation and first-touch
+    page faults) costs several times the arithmetic done on it.
     """
-    xz = x - D.ball_center
+    zx = x[0] - D.ball_center[0]
+    zy = x[1] - D.ball_center[1]
     rho2 = D.ball_radius ** 2
-    b = np.sum(e * xz, axis=-1)
-    delta = b * b - float(xz @ xz) + rho2
+    b = e[0] * zx
+    b += e[1] * zy
+    delta = b * b
+    delta -= zx * zx + zy * zy
+    delta += rho2
     s_hi = np.sqrt(np.maximum(delta, 0.0))
     s_lo = np.maximum(-s_hi, b)
     hit = s_hi > s_lo
     scale = 5.0 / (math.pi * rho2 * rho2 ** 4)   # c rho^-8, c of the bump
 
+    # (Delta - s^2)^4 = c0 + c1 s^2 + c2 s^4 + c3 s^6 + s^8, integrated
+    c2 = delta * delta
+    c0 = c2 * c2
+    c1 = c2 * delta
+    c1 *= -4.0 / 3.0
+    c2 *= 1.2
+    c3 = delta * (-4.0 / 7.0)
+
     def anti(s):
         # antiderivative of (delta - s^2)^4, Horner form in s^2
         u = s * s
-        return s * (delta ** 4 + u * (-4.0 / 3.0 * delta ** 3 + u * (
-            1.2 * delta ** 2 + u * (-4.0 / 7.0 * delta + u / 9.0))))
+        acc = u / 9.0
+        for c in (c3, c2, c1):
+            acc += c
+            acc *= u
+        acc += c0
+        acc *= s
+        return acc
 
-    J0 = scale * (anti(s_hi) - anti(s_lo))
-    J1 = scale * (delta - s_lo * s_lo) ** 5 / 10.0 - b * J0
-    return np.where(hit, J0, 0.0), np.where(hit, J1, 0.0)
+    J0 = anti(s_hi)
+    J0 -= anti(s_lo)
+    J0 *= scale
+    q = delta - s_lo * s_lo
+    J1 = q * q
+    J1 *= J1
+    J1 *= q
+    J1 *= scale
+    J1 /= 10.0
+    J1 -= b * J0
+    return J0 * hit, J1 * hit
 
 
-def _kernel_at(x, Y, D):
-    """k(x, y) for y in rows of Y: (x-y)/|x-y|^2 * (|x-y| J0 + J1)."""
-    d = x - Y
-    dist = np.sqrt(np.sum(d * d, axis=-1))
-    safe = np.where(dist > 0, dist, 1.0)
-    e = d / safe[..., None]
-    J0, J1 = _ray_integrals(x, e, D)
-    scale = np.where(dist > 0, J0 / safe + J1 / safe ** 2, 0.0)
-    return d * scale[..., None]
+def _kernel_sum(x, Y, w, D):
+    """sum_j w_j k(x, y_j) over the last axis, as an (..., 2) array.
+
+    k(x, y) = (x-y)/|x-y|^2 * (|x-y| J0 + J1).  x = (x0, x1) and
+    Y = (y0, y1) are component arrays that broadcast to (..., n), and w
+    broadcasts against them.  Coincident points contribute zero.
+    """
+    dx = x[0] - Y[0]
+    dy = x[1] - Y[1]
+    dist = dx * dx
+    dist += dy * dy
+    np.sqrt(dist, out=dist)
+    safe = dist + (dist == 0)
+    J0, J1 = _ray_integrals(x, (dx / safe, dy / safe), D)
+    J0 /= safe
+    J1 /= safe * safe
+    J0 += J1
+    J0 *= w
+    return np.stack([np.einsum("...n,...n->...", J0, dx),
+                     np.einsum("...n,...n->...", J0, dy)], axis=-1)
 
 
-def _singular_cell_kernel_integral(x, cell_center, h, D):
-    """integral of k(x, .) over the grid cell containing x.
+def _singular_cells(X, C, h, D):
+    """integral of k(x, .) over the grid cell centred at c, per row.
 
-    In polar coordinates around x the kernel is -n(theta)(J0 + J1/r),
-    so the radial integral is exact and only theta is sampled:
-    integral = -int n(theta) (J0 R^2/2 + J1 R) dtheta with R the exit
-    distance of the ray from x to the cell boundary.
+    X and C are (S, 2): targets and the centres of the cells holding
+    them.  In polar coordinates around x the kernel is
+    -n(theta)(J0 + J1/r), so the radial integral is exact and only
+    theta is sampled: integral = -int n(theta) (J0 R^2/2 + J1 R) dtheta
+    with R the exit distance of the ray from x to the cell boundary.
     """
     m = _SINGULAR_THETA
     theta = (np.arange(m) + 0.5) * (2 * math.pi / m)
     n_dir = np.column_stack([np.cos(theta), np.sin(theta)])
-    lo = cell_center - 0.5 * h
-    hi = cell_center + 0.5 * h
-    with np.errstate(divide="ignore"):
-        tx = np.where(n_dir[:, 0] > 0, (hi[0] - x[0]) / n_dir[:, 0],
-                      np.where(n_dir[:, 0] < 0, (lo[0] - x[0]) / n_dir[:, 0],
-                               np.inf))
-        ty = np.where(n_dir[:, 1] > 0, (hi[1] - x[1]) / n_dir[:, 1],
-                      np.where(n_dir[:, 1] < 0, (lo[1] - x[1]) / n_dir[:, 1],
-                               np.inf))
-    R = np.minimum(tx, ty)
-    J0, J1 = _ray_integrals(x, -n_dir, D)
+    # the midpoint angles never make a component of n_dir zero
+    exits = []
+    for k in (0, 1):
+        nk = n_dir[:, k]
+        wall = np.where(nk > 0, C[:, k:k + 1] + 0.5 * h,
+                        C[:, k:k + 1] - 0.5 * h)
+        exits.append((wall - X[:, k:k + 1]) / nk)
+    R = np.minimum(*exits)
+    J0, J1 = _ray_integrals(X.T[:, :, None], -n_dir.T, D)
     radial = J0 * R * R / 2.0 + J1 * R
     dtheta = 2 * math.pi / m
-    return -dtheta * (n_dir * radial[:, None]).sum(axis=0)
+    return -dtheta * np.einsum("sm,mc->sc", radial, n_dir)
+
+
+def _field_at(f, D, X):
+    """The solution field at the rows of X, a (T, 2) array of points.
+
+    f is a mean-zero clipped grid field.  Targets go in blocks sized by
+    _PAIR_BLOCK.  Per block, cells more than _NEAR_RADIUS + 1/2 spacings
+    away (Chebyshev) take the midpoint rule in one (B x N) evaluation;
+    nearer cells take the refined midpoint rule, gathered as (pairs x
+    subcells) and summed per target with np.bincount; the cell holding
+    a target takes the polar rule.  The sums avoid BLAS, so the result
+    does not depend on its thread count.
+    """
+    X = np.asarray(X, dtype=float)
+    U = np.zeros((X.shape[0], 2))
+    act = np.nonzero((f.measures > 0) & (f.values != 0))[0]
+    if act.size == 0:
+        return U
+    h = _grid_spacing(f)
+    Y, meas, vals = f.centroids[act], f.measures[act], f.values[act]
+    Yc = np.ascontiguousarray(Y.T)
+    w = meas * vals
+    r = _NEAR_REFINE
+    offs = (np.arange(r) + 0.5) / r - 0.5
+    ox, oy = np.meshgrid(offs, offs, indexing="ij")
+    sub_off = np.vstack([ox.ravel(), oy.ravel()]) * h
+    sub_w = meas / (r * r) * vals
+    near_reach = _NEAR_RADIUS * h + 0.5 * h
+    own_reach = 0.5 * h * (1 + 1e-12)
+
+    # a target has at most a side x side square of near cells
+    side = 2 * math.floor(_NEAR_RADIUS + 0.5) + 1
+    near_evals = side * side * r * r
+    block = max(1, _PAIR_BLOCK // max(act.size, near_evals))
+    for t0 in range(0, X.shape[0], block):
+        Xb = X[t0:t0 + block]
+        xb = Xb.T[:, :, None]
+        cheb = np.maximum(np.abs(xb[0] - Yc[0]), np.abs(xb[1] - Yc[1]))
+        near = cheb <= near_reach
+        Ub = _kernel_sum(xb, Yc, np.where(near, 0.0, w), D)
+
+        # the cell holding a target is left to the polar rule
+        own = np.argmin(cheb, axis=1)
+        holds = cheb[np.arange(Xb.shape[0]), own] < own_reach
+        bi, j = np.nonzero(near)
+        keep = ~(holds[bi] & (j == own[bi]))
+        bi, j = bi[keep], j[keep]
+        if bi.size:
+            sub = Yc[:, j, None] + sub_off[:, None, :]
+            c = _kernel_sum(xb[:, bi], sub, sub_w[j, None], D)
+            for k in (0, 1):
+                Ub[:, k] += np.bincount(bi, weights=c[:, k],
+                                        minlength=Xb.shape[0])
+        if np.any(holds):
+            o = own[holds]
+            Ub[holds] += vals[o][:, None] * _singular_cells(
+                Xb[holds], Y[o], h, D)
+        U[t0:t0 + block] = Ub
+    return U
 
 
 def _project_mean_zero(f, report):
@@ -302,7 +412,7 @@ def _project_mean_zero(f, report):
     return f
 
 
-def bogovskii_apply(f, x, D, _prepared=None, report=None):
+def bogovskii_apply(f, x, D, report=None):
     """The solution field at one point x.
 
     f is a clipped grid field on D (see grid_field).  x on a gridline of
@@ -311,11 +421,9 @@ def bogovskii_apply(f, x, D, _prepared=None, report=None):
     """
     if report is None:
         report = {}
-    if _prepared is None:
-        f = _project_mean_zero(f, report)
-        _prepared = _prepare_cells(f)
-    sub_Y, sub_w, sub_owner, h = _prepared
-    cent, meas = f.centroids, f.measures
+    f = _project_mean_zero(f, report)
+    h = _grid_spacing(f)
+    cent = f.centroids
     x = np.asarray(x, dtype=float)
 
     # locate the cell of x on the grid; nudge off internal gridlines
@@ -326,46 +434,7 @@ def bogovskii_apply(f, x, D, _prepared=None, report=None):
         if np.any(off < 1e-12 * h):
             x = x + 1e-6 * h * np.sign(cent[own] - x + 1e-300)
             report["shifted"] = float(1e-6 * h)
-    else:
-        own = -1  # x outside the grid: no singular cell
-
-    vals = f.values
-    u = np.zeros(2)
-    active = (meas > 0) & (vals != 0)
-    near_mask = d_all <= _NEAR_RADIUS * h + 0.5 * h
-    if own >= 0:
-        near_mask[own] = False
-
-    far_idx = np.nonzero(~near_mask & active)[0]
-    if far_idx.size:
-        k = _kernel_at(x, cent[far_idx], D)
-        u += (meas[far_idx] * vals[far_idx]) @ k
-
-    near_lookup = near_mask & active
-    if np.any(near_lookup):
-        take = near_lookup[sub_owner]
-        Ys = sub_Y[take]
-        k = _kernel_at(x, Ys, D)
-        u += (sub_w[take] * vals[sub_owner[take]]) @ k
-
-    if own >= 0 and active[own]:
-        cell_int = _singular_cell_kernel_integral(x, cent[own], h, D)
-        u += vals[own] * cell_int
-    return u
-
-
-def _prepare_cells(f):
-    cent = f.centroids
-    h = _grid_spacing(f)
-    r = _NEAR_REFINE
-    # subcell midpoints for the refined near-field midpoint rule
-    offs = (np.arange(r) + 0.5) / r - 0.5
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    off = np.column_stack([ox.ravel(), oy.ravel()]) * h
-    sub_owner = np.repeat(np.arange(f.n_cells), r * r)
-    sub_Y = (cent[:, None, :] + off[None, :, :]).reshape(-1, 2)
-    sub_w = np.repeat(f.measures / (r * r), r * r)
-    return sub_Y, sub_w, sub_owner, h
+    return _field_at(f, D, x[None, :])[0]
 
 
 def _erode(inside, rings=2):
@@ -405,13 +474,10 @@ def bogovskii_field(f, D):
     """
     report = {}
     f = _project_mean_zero(f, report)
-    prepared = _prepare_cells(f)
     n = _grid_shape(f)
-    h = prepared[-1]
+    h = _grid_spacing(f)
     cent = f.centroids
-    U = np.empty((f.n_cells, 2))
-    for i in range(f.n_cells):
-        U[i] = bogovskii_apply(f, cent[i], D, _prepared=prepared)
+    U = _field_at(f, D, cent)
     u_field = SampledField(cent, f.measures, U)
 
     ug = U.reshape(n, n, 2)

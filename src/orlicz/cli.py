@@ -57,6 +57,15 @@ def _parse_pair_flag(text, flag):
         raise UsageError("%s: %s" % (flag, exc))
 
 
+def _count(value, flag, least=1):
+    """An integer setting (grid size, family depth) >= least, or exit 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer() or value < least:
+        raise UsageError("%s must be an integer >= %d, got %r"
+                         % (flag, least, value))
+    return int(value)
+
+
 def _parse_h(token, flag):
     token = token.strip()
     try:
@@ -352,7 +361,8 @@ def _drive_young_doc(p, out):
 
 
 def _drive_norm_file(p, out):
-    u = _load_scalar_field(p["field"], p["n"], "params.field")
+    u = _load_scalar_field(p["field"], _count(p["n"], "params.n"),
+                           "params.field")
     A = _parse_young_flag(p["young"], "params.young")
     norm = luxemburg_norm(u, A)
     data = {"norm": norm, "modular": modular(u, A),
@@ -368,10 +378,12 @@ def _drive_norm_file(p, out):
 
 def _drive_bogovskii_run(p, out):
     D = _load_domain(p["domain"], "params.domain")
+    # the finite-difference gradient needs two cells per axis
+    n = _count(p["grid"], "params.grid", least=2)
     if str(p["f"]) in _expressions():
-        f = bogovskii.grid_field(D, _expressions()[p["f"]], int(p["grid"]))
+        f = bogovskii.grid_field(D, _expressions()[p["f"]], n)
     else:
-        f = _load_scalar_field(p["f"], p["grid"], "params.f")
+        f = _load_scalar_field(p["f"], n, "params.f")
     A, B = _parse_pair_flag(p["pair"], "params.pair")
     rep = bogovskii.bogovskii_field(f, D)
     gmag = rep["gradient"].magnitude_field()
@@ -394,15 +406,15 @@ def _drive_negnorm_field(p, out):
     if not p["pair"]:
         raise UsageError("params.pair is required (--pair on the "
                          "command line)")
-    u = _load_scalar_field(p["u"], p["n"], "params.u")
+    u = _load_scalar_field(p["u"], _count(p["n"], "params.n"), "params.u")
+    depth = _count(p["depth"], "params.depth")
     A, B = _parse_pair_flag(p["pair"], "params.pair")
     cent = u.centroids
     active = u.measures > 0
     half = 0.5 * math.sqrt(float(np.median(u.measures[active])))
     lo = cent[active].min(axis=0) - half
     hi = cent[active].max(axis=0) + half
-    fam = negnorm.TestFamily.bubbles(tuple(lo), tuple(hi),
-                                     depth=int(p["depth"]))
+    fam = negnorm.TestFamily.bubbles(tuple(lo), tuple(hi), depth=depth)
     rep = negnorm.two_sided_check(u, A, B, fam)
     data = {"lower": rep["lower"], "upper": rep["upper"],
             "r_low": rep["r_low"], "r_high": rep["r_high"],
@@ -1087,6 +1099,7 @@ def _apply_overrides(cfg, args):
                              % exp)
         p["mesh"] = args.mesh
     if getattr(args, "grid", None) is not None:
+        _count(args.grid, "--grid")
         if exp == "bogovskii_disk":
             p["grids"] = [args.grid]
         elif exp in ("bogovskii_run",):
@@ -1094,7 +1107,7 @@ def _apply_overrides(cfg, args):
         else:
             p["n"] = args.grid
     if getattr(args, "depth", None) is not None:
-        p["depth"] = args.depth
+        p["depth"] = _count(args.depth, "--depth")
     for kv in getattr(args, "set", None) or []:
         if "=" not in kv:
             raise UsageError("--set: expected KEY=VALUE, got %r" % kv)
@@ -1135,6 +1148,7 @@ def cmd_young(args):
 
 
 def cmd_norm(args):
+    _count(args.grid, "--grid")
     cfg = {"schema": SCHEMA, "experiment": "norm_file",
            "params": {"field": args.field, "young": args.young,
                       "n": args.grid, "rearrange": args.rearrange}}
@@ -1146,6 +1160,7 @@ def cmd_norm(args):
 
 def cmd_bogovskii(args):
     _parse_pair_flag(args.pair, "--pair")
+    _count(args.grid, "--grid", least=2)
     cfg = {"schema": SCHEMA, "experiment": "bogovskii_run",
            "params": {"domain": args.domain, "f": args.f,
                       "grid": args.grid, "pair": args.pair,
@@ -1157,6 +1172,8 @@ def cmd_bogovskii(args):
 
 def cmd_negnorm(args):
     _parse_pair_flag(args.pair, "--pair")
+    _count(args.family_depth, "--family-depth")
+    _count(args.grid, "--grid")
     cfg = {"schema": SCHEMA, "experiment": "negnorm_field",
            "params": {"u": args.u, "pair": args.pair,
                       "depth": args.family_depth, "n": args.grid}}

@@ -9,10 +9,15 @@ tested tight.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from orlicz import bogovskii
 from orlicz.bogovskii import (
     DomainDecomposition,
     StarDomain,
@@ -158,14 +163,18 @@ def test_ray_integrals_match_gauss_legendre_oracle():
             x = D.ball_center + np.array([-2.0, sign * D.ball_radius
                                           * (1 - eps)])
             rays.append((x, np.array([1.0, 0.0])))
-    got = np.array([np.array(_ray_integrals(x, e[None, :], D))[:, 0]
+    got = np.array([np.array(_ray_integrals(x, e[:, None], D))[:, 0]
                     for x, e in rays])
+    # one call over every ray: x broadcasts along with e
+    xs, es = (np.array(col) for col in zip(*rays))
+    got_all = np.column_stack(_ray_integrals(xs.T, es.T, D))
     want = np.array([_gauss_ray_integrals(x, e, D) for x, e in rays])
     assert np.sum(want[:, 0] == 0.0) >= 40       # the misses
     assert np.sum(want[:, 0] > 0.0) >= 80        # the hits
     for j in (0, 1):
         scale = np.max(np.abs(want[:, j]))
         assert np.max(np.abs(got[:, j] - want[:, j])) <= 1e-13 * scale
+        assert np.max(np.abs(got_all[:, j] - want[:, j])) <= 1e-13 * scale
 
 
 def test_gridline_evaluation_shifts_and_reports():
@@ -176,6 +185,19 @@ def test_gridline_evaluation_shifts_and_reports():
     u = bogovskii_apply(f, x, DISK, report=report)
     assert "shifted" in report
     assert np.all(np.isfinite(u))
+
+
+def test_point_evaluation_is_continuous_inside_a_cell():
+    # the cell holding x counts once, through its polar rule; a midpoint
+    # term at its centroid on top would blow up like 1/|x - centroid|
+    f = grid_field(DISK, kink, 16)
+    U = bogovskii_field(f, DISK)["u"].values
+    h = 2.0 / 16
+    for c in ([0.3125, 0.0625], [-0.1875, 0.4375], [0.5625, -0.5625]):
+        k = int(np.argmin(np.max(np.abs(f.centroids - c), axis=1)))
+        for step in ([-1e-3, 0.0], [0.0, 1e-3], [7e-4, -7e-4]):
+            u = bogovskii_apply(f, f.centroids[k] + h * np.array(step), DISK)
+            assert np.max(np.abs(u - U[k])) <= 1e-2 * np.max(np.abs(U[k]))
 
 
 def test_mean_projection_is_reported():
@@ -205,6 +227,43 @@ def test_disk_divergence_residual_32(disk32):
 
 def test_disk_divergence_residual_64(disk64):
     assert disk64["div_residual"] < 0.05
+
+
+def test_disk_solves_reproduce_pinned_values(disk32, disk64):
+    # Regression anchor, measured with the per-target solver that the
+    # blocked evaluator replaced: residual and least rearrangement
+    # constant 0.039278682348116455 and 0.7099120821713862 at 32^2,
+    # 0.02401058610237399 and 0.7058959575442927 at 64^2.
+    pinned = [(disk32, 0.039278682348116455, 0.7099120821713862),
+              (disk64, 0.02401058610237399, 0.7058959575442927)]
+    for rep, residual, least_c in pinned:
+        got = check_rearrangement_estimate(rep["f"], rep["gradient"], 2.5)
+        assert rep["div_residual"] == pytest.approx(residual, rel=1e-12)
+        assert got["least_C"] == pytest.approx(least_c, rel=1e-12)
+
+
+def test_field_is_identical_across_blas_threads(tmp_path):
+    # the kernel sums avoid BLAS, so neither the thread count nor the
+    # process changes a single bit of u
+    script = (
+        "import sys, numpy as np\n"
+        "from orlicz.bogovskii import StarDomain, bogovskii_field, "
+        "grid_field\n"
+        "D = StarDomain.disk(radius=1.0, n_vertices=96, ball_frac=0.5)\n"
+        "f = grid_field(D, lambda X, Y: np.sqrt(X**2 + Y**2) - 2/3, 16)\n"
+        "np.save(sys.argv[1], bogovskii_field(f, D)['u'].values)\n")
+    src = str(Path(bogovskii.__file__).resolve().parents[1])
+    fields = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        out = tmp_path / ("u%s.npy" % threads)
+        proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        fields.append(np.load(out))
+    assert fields[0].shape == (256, 2)
+    assert fields[0].tobytes() == fields[1].tobytes()
 
 
 def test_residual_decreases_under_refinement(disk32, disk64):

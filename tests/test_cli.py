@@ -137,6 +137,27 @@ def test_malformed_pair_names_flag(tmp_path, capsys):
     assert "--pair" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("bogovskii", "--grid", "0"), "--grid"),
+    (("bogovskii", "--grid", "-4"), "--grid"),
+    (("bogovskii", "--grid", "1"), "--grid"),
+    (("negnorm", "--u", "step_x", "--pair", "power:2:power:2",
+      "--family-depth", "0"), "--family-depth"),
+])
+def test_out_of_range_count_flags_exit_2(tmp_path, capsys, argv, flag):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [0, 1, -2, 2.5])
+def test_bad_config_grid_names_field(tmp_path, capsys, grid):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "bogovskii_run",
+                               "params": {"grid": grid}}))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 2
+    assert "params.grid" in capsys.readouterr().err
+
+
 def test_run_balance_single_pair(tmp_path):
     rc = run_cli("run", "balance", "--pair", "zygmund:1:1:zygmund:1:0",
                  "--out", str(tmp_path))
