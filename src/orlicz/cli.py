@@ -67,14 +67,25 @@ def _count(value, flag, least=1):
 
 
 def _parse_h(token, flag):
+    """A pitch or radius written N or N/D; finite and > 0, or exit 2."""
     token = token.strip()
+    num, _, den = token.partition("/")
     try:
-        if "/" in token:
-            num, den = token.split("/")
-            return float(num) / float(den)
-        return float(token)
+        h = float(num) / float(den) if den else float(num)
     except (ValueError, ZeroDivisionError):
-        raise UsageError("%s: bad mesh pitch %r" % (flag, token))
+        h = math.nan
+    if not (math.isfinite(h) and h > 0):
+        raise UsageError("%s: %r is not a positive number" % (flag, token))
+    return h
+
+
+def _square_pitches(spec, flag):
+    """The pitches of a square:H[,H...] mesh spec."""
+    hs = [_parse_h(tok, flag)
+          for tok in spec[len("square:"):].split(",") if tok.strip()]
+    if not hs:
+        raise UsageError("%s: no pitch given in %r" % (flag, spec))
+    return hs
 
 
 def _expressions():
@@ -141,11 +152,8 @@ def _load_domain(spec, flag):
 def _meshes_from_spec(spec, flag):
     """List of (pitch, Triangulation) from square:H[,H...] or a file."""
     if isinstance(spec, str) and spec.startswith("square:"):
-        hs = [_parse_h(tok, flag)
-              for tok in spec[len("square:"):].split(",") if tok.strip()]
-        if not hs:
-            raise UsageError("%s: no pitch given in %r" % (flag, spec))
-        return [(h, fem.triangulate(_SQUARE, h)) for h in hs]
+        return [(h, fem.triangulate(_SQUARE, h))
+                for h in _square_pitches(spec, flag)]
     path = Path(str(spec))
     if path.suffix == ".json" and path.exists():
         doc = json.loads(path.read_text())
@@ -157,11 +165,11 @@ def _meshes_from_spec(spec, flag):
             raise UsageError("%s: %s: missing key %s" % (flag, spec, exc))
         if not isinstance(hs, list):
             hs = [hs]
+        hs = [_parse_h(str(h), flag) for h in hs]
         coarse_arg = None
         if coarse is not None:
             coarse_arg = (coarse["vertices"], coarse["simplices"])
-        return [(float(h), fem.triangulate(polygon, float(h),
-                                           coarse=coarse_arg))
+        return [(h, fem.triangulate(polygon, h, coarse=coarse_arg))
                 for h in hs]
     raise UsageError("%s: expected square:H[,H...] or a mesh .json file, "
                      "got %r" % (flag, spec))
@@ -457,8 +465,7 @@ def _drive_fem_pressure(p, out):
         if not spec.startswith("square:"):
             raise UsageError("params.mesh: the pressure study needs "
                              "square:H[,H...]")
-        hs = [_parse_h(tok, "params.mesh")
-              for tok in spec[len("square:"):].split(",") if tok.strip()]
+        hs = _square_pitches(spec, "params.mesh")
         pi = _pi_expr(p["pi"], "params.pi")
         rows = fem.pressure_error_study(pi, hs, A, B)
         table = [(r["h"], r["error"], r["best"], r["ratio"],
@@ -639,25 +646,29 @@ def _random_disk_density(rng):
 
 
 def _drive_bogovskii_disk(p, out):
+    grids = [_count(g, "params.grids", least=2) for g in p["grids"]]
+    stability_grid = _count(p["stability_grid"], "params.stability_grid",
+                            least=2)
+    n_random = _count(p["n_random"], "params.n_random")
     D = bogovskii.StarDomain.disk()
     kink = _expressions()["kink"]
     assertions = []
 
     res_rows = []
-    for grid, bound in zip(p["grids"], p["residual_bounds"]):
+    for grid, bound in zip(grids, p["residual_bounds"]):
         rep = bogovskii.bogovskii_field(
-            bogovskii.grid_field(D, kink, int(grid)), D)
-        res_rows.append((int(grid), rep["div_residual"], float(bound)))
+            bogovskii.grid_field(D, kink, grid), D)
+        res_rows.append((grid, rep["div_residual"], float(bound)))
         assertions.append(_check(
-            "divergence residual at %d^2" % int(grid),
+            "divergence residual at %d^2" % grid,
             rep["div_residual"] < float(bound),
             rep["div_residual"], bound))
 
     rng = np.random.default_rng(int(p["seed"]))
     reports = []
-    for _ in range(int(p["n_random"])):
+    for _ in range(n_random):
         f = bogovskii.grid_field(D, _random_disk_density(rng),
-                                 int(p["stability_grid"]))
+                                 stability_grid)
         reports.append(bogovskii.bogovskii_field(f, D))
     stab_rows = []
     for literal in p["pairs"]:
@@ -686,7 +697,7 @@ def _drive_bogovskii_disk(p, out):
     held_rows = []
     for name, fn in held:
         rep = bogovskii.bogovskii_field(
-            bogovskii.grid_field(D, fn, int(p["stability_grid"])), D)
+            bogovskii.grid_field(D, fn, stability_grid), D)
         r = bogovskii.check_rearrangement_estimate(
             rep["f"], rep["gradient"], C, n_s=int(p["n_s"]))
         held_rows.append((name, r["least_C"], r["ok"]))
@@ -819,7 +830,10 @@ def _drive_negative_norm(p, out):
 
 
 def _drive_fem_suite(p, out):
-    hs = [float(h) for h in p["hs"]]
+    if not isinstance(p["hs"], list) or not p["hs"]:
+        raise UsageError("params.hs: expected a non-empty list of mesh "
+                         "pitches, got %r" % (p["hs"],))
+    hs = [_parse_h(str(h), "params.hs") for h in p["hs"]]
     seed = int(p["seed"])
     spaces_by_h = {h: fem.FESpacePair(fem.triangulate(_SQUARE, h), k=2)
                    for h in hs}
@@ -1097,6 +1111,8 @@ def _apply_overrides(cfg, args):
         if not exp.startswith("fem_"):
             raise UsageError("--mesh does not apply to experiment %r"
                              % exp)
+        if args.mesh.startswith("square:"):
+            _square_pitches(args.mesh, "--mesh")
         p["mesh"] = args.mesh
     if getattr(args, "grid", None) is not None:
         _count(args.grid, "--grid")
@@ -1184,6 +1200,8 @@ def cmd_negnorm(args):
 
 def cmd_fem(args):
     _parse_pair_flag(args.pair, "--pair")
+    if args.mesh.startswith("square:"):
+        _square_pitches(args.mesh, "--mesh")
     exp = "fem_" + args.verb
     params = {"mesh": args.mesh, "pair": args.pair, "k": args.k,
               "m": args.m}

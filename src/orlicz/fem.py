@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import (cho_factor, cho_solve, cholesky, eigh, lstsq,
                           solve_triangular, svdvals)
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from orlicz.spaces import SampledField, luxemburg_norm
 
@@ -86,40 +89,43 @@ class Triangulation:
             raise ValueError("simplices must be (n, 3)")
         # orient counterclockwise
         p = self.vertices
-        for t in simp:
-            area2 = _cross2(p[t[1]] - p[t[0]], p[t[2]] - p[t[0]])
-            if area2 == 0.0:
-                raise ValueError("degenerate simplex")
-            if area2 < 0.0:
-                t[1], t[2] = t[2], t[1]
+        area2 = _cross2(p[simp[:, 1]] - p[simp[:, 0]],
+                        p[simp[:, 2]] - p[simp[:, 0]])
+        if np.any(area2 == 0.0):
+            raise ValueError("degenerate simplex")
+        flip = area2 < 0.0
+        simp[flip, 1:] = simp[flip, :0:-1]
         self.simplices = simp
         self._build_edges()
 
     def _build_edges(self):
-        lookup = {}
-        edges = []
-        # simplex_edges[t, k] is the edge opposite local vertex k
-        self.simplex_edges = np.empty_like(self.simplices)
-        for t, tri in enumerate(self.simplices):
-            for k in range(3):
-                key = tuple(sorted((tri[(k + 1) % 3], tri[(k + 2) % 3])))
-                if key not in lookup:
-                    lookup[key] = len(edges)
-                    edges.append(key)
-                self.simplex_edges[t, k] = lookup[key]
-        self.edges = np.array(edges, dtype=int)
-        counts = np.zeros(len(edges), dtype=int)
-        self.edge_simplices = [[] for _ in edges]
-        for t in range(len(self.simplices)):
-            for e in self.simplex_edges[t]:
-                counts[e] += 1
-                self.edge_simplices[e].append(t)
+        """Edges numbered in order of first appearance over (simplex,
+        local vertex); simplex_edges[t, k] is the edge opposite local
+        vertex k.
+
+        The edge opposite k runs counterclockwise from v[k+1] to v[k+2];
+        simplex_edge_signs[t, k] is +1 when that direction agrees with
+        the stored (sorted) endpoints and -1 otherwise, so the right
+        normal of the stored edge points out of t exactly when it is +1.
+        """
+        s = self.simplices
+        nv = len(self.vertices)
+        a, b = s[:, [1, 2, 0]], s[:, [2, 0, 1]]
+        keys = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
+        uniq, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.edges = np.stack(np.divmod(uniq[order], nv), axis=1)
+        self.simplex_edges = rank[inverse].reshape(s.shape)
+        self.simplex_edge_signs = np.where(a < b, 1, -1)
+        counts = np.bincount(self.simplex_edges.ravel())
         if counts.max() > 2:
             raise ValueError("non-manifold mesh")
         self.boundary_edge_mask = counts == 1
-        self.boundary_vertex_mask = np.zeros(len(self.vertices), dtype=bool)
-        for e in np.nonzero(self.boundary_edge_mask)[0]:
-            self.boundary_vertex_mask[self.edges[e]] = True
+        self.boundary_vertex_mask = np.bincount(
+            self.edges[self.boundary_edge_mask].ravel(), minlength=nv) > 0
 
     @property
     def n_vertices(self):
@@ -152,30 +158,23 @@ class Triangulation:
         return float(np.max(self.diameters()))
 
     def min_angle(self):
-        p = self.vertices
-        worst = math.pi
-        for tri in self.simplices:
-            for k in range(3):
-                a = p[tri[(k + 1) % 3]] - p[tri[k]]
-                b = p[tri[(k + 2) % 3]] - p[tri[k]]
-                cosang = np.dot(a, b) / (np.linalg.norm(a)
-                                         * np.linalg.norm(b))
-                worst = min(worst, math.acos(np.clip(cosang, -1.0, 1.0)))
-        return math.degrees(worst)
+        p = self.vertices[self.simplices]  # (T, 3, 2)
+        a = np.roll(p, -1, axis=1) - p
+        b = np.roll(p, -2, axis=1) - p
+        cosang = np.sum(a * b, axis=-1) / (np.linalg.norm(a, axis=-1)
+                                           * np.linalg.norm(b, axis=-1))
+        return math.degrees(float(np.arccos(np.clip(cosang, -1.0,
+                                                    1.0)).min()))
 
     def refine(self):
         """Red refinement: every triangle into four via edge midpoints."""
         p = self.vertices
         mid = 0.5 * (p[self.edges[:, 0]] + p[self.edges[:, 1]])
-        newv = np.vstack([p, mid])
-        off = self.n_vertices
-        out = []
-        for t, tri in enumerate(self.simplices):
-            v0, v1, v2 = tri
-            m0, m1, m2 = off + self.simplex_edges[t]  # m[k] opposite v[k]
-            out += [[v0, m2, m1], [v1, m0, m2], [v2, m1, m0],
-                    [m0, m1, m2]]
-        return Triangulation(newv, out)
+        v0, v1, v2 = self.simplices.T
+        m0, m1, m2 = (self.n_vertices + self.simplex_edges).T  # opposite v
+        out = np.stack([v0, m2, m1, v1, m0, m2, v2, m1, m0, m0, m1, m2],
+                       axis=1).reshape(-1, 3)
+        return Triangulation(np.vstack([p, mid]), out)
 
     @staticmethod
     def structured_rectangle(lo, hi, nx, ny):
@@ -184,19 +183,13 @@ class Triangulation:
         hi = np.asarray(hi, float)
         xs = np.linspace(lo[0], hi[0], nx + 1)
         ys = np.linspace(lo[1], hi[1], ny + 1)
-
-        def vid(i, j):
-            return i * (ny + 1) + j
-
-        verts = [(xs[i], ys[j]) for i in range(nx + 1)
-                 for j in range(ny + 1)]
-        tris = []
-        for i in range(nx):
-            for j in range(ny):
-                a, b = vid(i, j), vid(i + 1, j)
-                c, d = vid(i + 1, j + 1), vid(i, j + 1)
-                tris += [[a, b, c], [a, c, d]]
-        return Triangulation(verts, tris)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        a = (i * (ny + 1) + j).ravel()  # vertex (i, j) of each square
+        b = a + ny + 1
+        tris = np.stack([a, b, b + 1, a, b + 1, a + 1],
+                        axis=1).reshape(-1, 3)
+        return Triangulation(np.column_stack([X.ravel(), Y.ravel()]), tris)
 
 
 def triangulate(polygon, h_target, coarse=None):
@@ -351,21 +344,13 @@ class FESpacePair:
         self.domain_measure = float(self._areas.sum())
 
         # scalar nodes: vertices, then edge midpoints for k=2
-        nv = tri.n_vertices
-        n_nodes = nv + (tri.n_edges if k == 2 else 0)
-        self.node_dof = np.full(n_nodes, -1, dtype=int)
-        idx = 0
-        for v in range(nv):
-            if not tri.boundary_vertex_mask[v]:
-                self.node_dof[v] = idx
-                idx += 1
+        interior = ~tri.boundary_vertex_mask
         if k == 2:
-            for e in range(tri.n_edges):
-                if not tri.boundary_edge_mask[e]:
-                    self.node_dof[nv + e] = idx
-                    idx += 1
-        self.n_scalar = idx
-        self.n_velocity = 2 * idx
+            interior = np.concatenate([interior, ~tri.boundary_edge_mask])
+        self.n_scalar = int(interior.sum())
+        self.node_dof = np.full(len(interior), -1, dtype=int)
+        self.node_dof[interior] = np.arange(self.n_scalar)
+        self.n_velocity = 2 * self.n_scalar
         self.n_pressure = tri.n_simplices - 1
 
         self._tables = None
@@ -395,11 +380,9 @@ class FESpacePair:
         qpts = np.einsum("qk,tkx->tqx", _TRI_QP, p)
         qw = _TRI_QW[None, :] * self._areas[:, None]
 
-        grad_lam = np.empty((T, 3, 2))
-        for i in range(3):
-            edge = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            grad_lam[:, i, 0] = -edge[:, 1]
-            grad_lam[:, i, 1] = edge[:, 0]
+        # gradient of lambda_i: the edge opposite vertex i turned inward
+        edge = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+        grad_lam = np.stack([-edge[..., 1], edge[..., 0]], axis=-1)
         grad_lam /= (2.0 * self._areas)[:, None, None]
 
         if self.k == 1:
@@ -434,16 +417,12 @@ class FESpacePair:
             tab = self.tables()
             # integral of each shape gradient over the element
             div = np.einsum("tq,tqlx->tlx", tab["qw"], tab["grads"])
-            T = self.tri.n_simplices
-            araw = np.zeros((self.n_velocity, T))
             dofs = tab["dofs"]
-            for t in range(T):
-                for a in range(dofs.shape[1]):
-                    d = dofs[t, a]
-                    if d < 0:
-                        continue
-                    araw[2 * d, t] += div[t, a, 0]
-                    araw[2 * d + 1, t] += div[t, a, 1]
+            t, a = np.nonzero(dofs >= 0)
+            d = dofs[t, a]
+            araw = np.zeros((self.n_velocity, self.tri.n_simplices))
+            np.add.at(araw, (2 * d, t), div[t, a, 0])
+            np.add.at(araw, (2 * d + 1, t), div[t, a, 1])
             self._araw = araw
         return self._araw
 
@@ -475,13 +454,12 @@ class FESpacePair:
             tab = self.tables()
             loc = np.einsum("tq,tqax,tqbx->tab", tab["qw"],
                             tab["grads"], tab["grads"])
+            # np.add.at accumulates in element order, entry by entry
+            rows = np.broadcast_to(tab["dofs"][:, :, None], loc.shape)
+            cols = np.swapaxes(rows, 1, 2)
+            keep = (rows >= 0) & (cols >= 0)
             K = np.zeros((self.n_scalar, self.n_scalar))
-            dofs = tab["dofs"]
-            for t in range(self.tri.n_simplices):
-                dd = dofs[t]
-                keep = dd >= 0
-                ii = dd[keep]
-                K[np.ix_(ii, ii)] += loc[t][np.ix_(keep, keep)]
+            np.add.at(K, (rows[keep], cols[keep]), loc[keep])
             self._stiffness = K
         G = np.zeros((self.n_velocity, self.n_velocity))
         G[0::2, 0::2] = self._stiffness
@@ -794,26 +772,19 @@ def _element_divergence(V, coeffs):
 def _flux_integrals(V, u):
     """Integral over each simplex boundary of u . n, by edge quadrature.
 
-    Interior edges are evaluated once and credited to both sides with
-    opposite signs, so their contributions cancel exactly in the sum.
+    Every edge is evaluated once and credited to its simplices with
+    their orientation signs, so interior contributions cancel exactly
+    in the sum.
     """
     tri = V.tri
     p = tri.vertices
-    out = np.zeros(tri.n_simplices)
-    for e in range(tri.n_edges):
-        a, b = tri.edges[e]
-        tang = p[b] - p[a]
-        normal = np.array([tang[1], -tang[0]])  # length = edge length
-        pts = p[a][None, :] + _EDGE_QP[:, None] * tang[None, :]
-        un = np.asarray(u(pts), float) @ normal
-        flux = float(np.dot(_EDGE_QW, un))
-        for t in tri.edge_simplices[e]:
-            # the normal is outward for t when t lies left of a->b
-            verts = tri.simplices[t]
-            other = [v for v in verts if v != a and v != b][0]
-            side = _cross2(tang, p[other] - p[a])
-            out[t] += flux if side > 0 else -flux
-    return out
+    start = p[tri.edges[:, 0]]
+    tang = p[tri.edges[:, 1]] - start
+    pts = start[:, None, :] + _EDGE_QP[None, :, None] * tang[:, None, :]
+    uq = np.asarray(u(pts.reshape(-1, 2)), float).reshape(pts.shape)
+    # u . (tang_y, -tang_x): the right normal, scaled by the edge length
+    flux = _cross2(uq, tang[:, None, :]) @ _EDGE_QW
+    return np.sum(tri.simplex_edge_signs * flux[tri.simplex_edges], axis=1)
 
 
 def projection_apply(u, V):
@@ -822,82 +793,75 @@ def projection_apply(u, V):
 
     Stage one is Scott-Zhang style averaging: each interior node takes
     the value of the local L2 projection of u onto P2 of one fixed
-    incident element (the lowest-index one).  Stage two corrects with
-    interior edge bubbles: each bubble moves divergence mass between
-    the two elements sharing its edge at the rate (2/3) edge-length, so
-    matching the per-element divergence of u is a linear flow problem,
-    solved in the least-squares sense (exact whenever the defects sum
-    to zero, which holds for zero-trace u on a connected mesh).
+    incident element (the lowest-index one); P2 is nodal, so that value
+    is the projection's coefficient for the node.  Stage two corrects
+    with interior edge bubbles: each bubble moves divergence mass
+    between the two elements sharing its edge at the rate (2/3)
+    edge-length, so matching the per-element divergence of u is a flow
+    problem B alpha = defect on the dual graph.  Its minimum-norm
+    least-squares solution is alpha = B^T y, where y solves the weighted
+    dual-graph Laplacian B B^T y = defect minus its mean over each
+    connected piece, factored sparsely with one element per piece
+    grounded.  The match is exact whenever the defects sum to zero over
+    each piece, which holds for zero-trace u.
     """
     if V.k != 2:
         raise ValueError("projection needs the quadratic velocity space")
     tri = V.tri
+    T = tri.n_simplices
     nv = tri.n_vertices
-
-    owner = np.full(nv + tri.n_edges, -1, dtype=int)
-    for t in range(tri.n_simplices - 1, -1, -1):
-        for v in tri.simplices[t]:
-            owner[v] = t
-        for e in tri.simplex_edges[t]:
-            owner[nv + e] = t
-
     tab = V.tables()
-    shapes_ref = tab["shapes"]
+
+    # each interior node has one (element, local slot) pair whose element
+    # is its owner, the lowest-index incident element
+    node_ids = np.hstack([tri.simplices, nv + tri.simplex_edges])
+    elem = np.broadcast_to(np.arange(T)[:, None], node_ids.shape)
+    owner = np.full(nv + tri.n_edges, T)
+    np.minimum.at(owner, node_ids, elem)
+    t, a = np.nonzero((owner[node_ids] == elem)
+                      & (V.node_dof[node_ids] >= 0))
+    d = V.node_dof[node_ids[t, a]]
+
+    # local L2 projections: the element mass matrix is the area times a
+    # reference one, and the area cancels against the moments
+    wshapes = _TRI_QW[:, None] * tab["shapes"]
+    proj = np.linalg.solve(tab["shapes"].T @ wshapes, wshapes.T)
+    owners, slot = np.unique(t, return_inverse=True)
+    uq = np.asarray(u(tab["qpts"][owners].reshape(-1, 2)), float)
+    loc = np.einsum("aq,tqc->tac", proj, uq.reshape(len(owners), _N_QP, 2))
     coeffs = np.zeros(V.n_velocity)
-    proj_cache = {}
-    for node in range(nv + tri.n_edges):
-        d = V.node_dof[node]
-        if d < 0:
-            continue
-        t = owner[node]
-        if t not in proj_cache:
-            wq = tab["qw"][t]
-            mass = np.einsum("q,qa,qb->ab", wq, shapes_ref, shapes_ref)
-            uvals = np.asarray(u(tab["qpts"][t]), float)
-            mom = np.einsum("q,qa,qc->ac", wq, shapes_ref, uvals)
-            proj_cache[t] = np.linalg.solve(mass, mom)  # (6, 2)
-        loc = proj_cache[t]
-        if node < nv:
-            k = list(tri.simplices[t]).index(node)
-            lam = np.zeros(3)
-            lam[k] = 1.0
-        else:
-            k = list(tri.simplex_edges[t]).index(node - nv)
-            lam = np.full(3, 0.5)
-            lam[k] = 0.0
-        val = _p2_shapes(lam) @ loc
-        coeffs[2 * d] = val[0]
-        coeffs[2 * d + 1] = val[1]
+    nodal = coeffs.reshape(-1, 2)  # view: one row of components per dof
+    nodal[d] = loc[slot, a]
 
     target = _flux_integrals(V, u)
     defect = target - _element_divergence(V, coeffs)
     defect_before = float(np.abs(defect).max())
 
-    # interior-edge flow: the bubble on edge e pointed along the unit
-    # normal moves (2/3)|e| of divergence from one side to the other
+    # interior-edge flow: the bubble on edge e pointed along its unit
+    # right normal moves (2/3)|e| of divergence out of the simplex that
+    # normal leaves, into the other one
     p = tri.vertices
-    int_edges = np.nonzero(~tri.boundary_edge_mask)[0]
-    B = np.zeros((tri.n_simplices, len(int_edges)))
-    dirs = np.zeros((len(int_edges), 2))
-    for col, e in enumerate(int_edges):
-        a, b = tri.edges[e]
-        tang = p[b] - p[a]
-        length = float(np.linalg.norm(tang))
-        normal = np.array([tang[1], -tang[0]]) / length
-        dirs[col] = normal
-        s1, s2 = tri.edge_simplices[e]
-        other = [v for v in tri.simplices[s1] if v != a and v != b][0]
-        # the normal points out of s1 when s1 lies left of a->b
-        sgn = 1.0 if _cross2(tang, p[other] - p[a]) > 0 else -1.0
-        B[s1, col] = sgn * (2.0 / 3.0) * length
-        B[s2, col] = -sgn * (2.0 / 3.0) * length
-    # gelss for the exact-null-space system: the default divide-and-
-    # conquer driver returns a non-minimal solution here
-    alpha, _, _, _ = lstsq(B, defect, lapack_driver="gelss")
-    for col, e in enumerate(int_edges):
-        d = V.node_dof[nv + e]
-        coeffs[2 * d] += alpha[col] * dirs[col, 0]
-        coeffs[2 * d + 1] += alpha[col] * dirs[col, 1]
+    tang = p[tri.edges[:, 1]] - p[tri.edges[:, 0]]
+    length = np.linalg.norm(tang, axis=1)
+    se = tri.simplex_edges
+    inner = ~tri.boundary_edge_mask[se]
+    rate = (2.0 / 3.0) * tri.simplex_edge_signs * length[se]
+    B = csr_matrix((rate[inner], (np.nonzero(inner)[0], se[inner])),
+                   shape=(T, tri.n_edges))
+    lap = B @ B.T
+    # the defect's mean over each connected piece of the dual graph is
+    # outside the range of B; ground the first element of every piece
+    _, piece = connected_components(lap, directed=False)
+    free = np.ones(T, dtype=bool)
+    free[np.unique(piece, return_index=True)[1]] = False
+    mean = np.bincount(piece, defect) / np.bincount(piece)
+    y = np.zeros(T)
+    y[free] = splu(lap[free][:, free].tocsc()).solve(
+        (defect - mean[piece])[free])
+    alpha = B.T @ y
+    e = np.nonzero(~tri.boundary_edge_mask)[0]
+    normal = np.stack([tang[e, 1], -tang[e, 0]], axis=1) / length[e, None]
+    nodal[V.node_dof[nv + e]] += alpha[e, None] * normal
 
     defect_after = float(np.abs(target
                                 - _element_divergence(V, coeffs)).max())
@@ -915,23 +879,16 @@ def check_local_stability(u, grad_u, V, coeffs):
     of elements sharing a vertex with the simplex.
     """
     tri = V.tri
-    t = tri.simplices
+    T = tri.n_simplices
     diam = tri.diameters()
-    v2e = [[] for _ in range(tri.n_vertices)]
-    for e in range(tri.n_simplices):
-        for v in t[e]:
-            v2e[v].append(e)
     areas = tri.areas()
     tab = V.tables()
 
-    pi_vals = V.velocity_samples(coeffs).magnitude() \
-        .reshape(tri.n_simplices, _N_QP)
-    pi_grads = V.gradient_samples(coeffs).magnitude() \
-        .reshape(tri.n_simplices, _N_QP)
+    pi_vals = V.velocity_samples(coeffs).magnitude().reshape(T, _N_QP)
+    pi_grads = V.gradient_samples(coeffs).magnitude().reshape(T, _N_QP)
     pts = tab["qpts"].reshape(-1, 2)
-    uv = np.asarray(u(pts), float).reshape(tri.n_simplices, _N_QP, 2)
-    gv = np.asarray(grad_u(pts), float).reshape(tri.n_simplices,
-                                                _N_QP, 2, 2)
+    uv = np.asarray(u(pts), float).reshape(T, _N_QP, 2)
+    gv = np.asarray(grad_u(pts), float).reshape(T, _N_QP, 2, 2)
     wq = tab["qw"]
     pi_abs = np.einsum("tq,tq->t", wq, pi_vals) / areas
     pi_grad = np.einsum("tq,tq->t", wq, pi_grads) / areas
@@ -940,16 +897,17 @@ def check_local_stability(u, grad_u, V, coeffs):
     u_grad = np.einsum("tq,tq->t", wq,
                        np.sqrt(np.sum(gv * gv, axis=(-2, -1)))) / areas
 
-    worst = 0.0
-    for e in range(tri.n_simplices):
-        patch = sorted({e2 for v in t[e] for e2 in v2e[v]})
-        pa = areas[patch]
-        lhs = pi_abs[e] + diam[e] * pi_grad[e]
-        rhs = (np.dot(pa, u_abs[patch])
-               + diam[e] * np.dot(pa, u_grad[patch])) / pa.sum()
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
-    return worst
+    # patch[e, e2] = 1 when e and e2 share a vertex
+    inc = csr_matrix((np.ones(3 * T), (np.repeat(np.arange(T), 3),
+                                       tri.simplices.ravel())),
+                     shape=(T, tri.n_vertices))
+    patch = inc @ inc.T
+    patch.data[:] = 1.0
+    lhs = pi_abs + diam * pi_grad
+    rhs = (patch @ (areas * u_abs)
+           + diam * (patch @ (areas * u_grad))) / (patch @ areas)
+    ok = rhs > 0
+    return float(np.max(lhs[ok] / rhs[ok], initial=0.0))
 
 
 def check_orlicz_projection_stability(u, grad_u, V, A):
@@ -970,41 +928,39 @@ def check_orlicz_projection_stability(u, grad_u, V, A):
 def _best_p0_approx(pi, V, A):
     """Mean-zero P0 candidate minimizing the elementwise modular of A.
 
-    The elementwise mean seeds a golden-section pass per element (the
-    minimizer of the integrated A(|pi - c|) need not be the mean for
-    non-quadratic A).  The result upper-bounds the best-approximation
-    error actually achievable in P0.
+    The elementwise mean seeds a 60-step golden section run on all
+    elements at once, one evaluation of A over the whole quadrature
+    table per step (the minimizer of the integrated A(|pi - c|) need not
+    be the mean for non-quadratic A).  The result upper-bounds the
+    best-approximation error actually achievable in P0.
     """
     gr = 0.5 * (math.sqrt(5.0) - 1.0)
     tab = V.tables()
-    T = V.tri.n_simplices
-    vals = np.empty(T)
-    for t in range(T):
-        wq = tab["qw"][t]
-        pv = np.asarray(pi(tab["qpts"][t]), float)
-        mean = float(np.dot(wq, pv) / wq.sum())
-        span = float(np.abs(pv - mean).max())
-        if span == 0.0:
-            vals[t] = mean
-            continue
+    wq = tab["qw"]
+    pv = np.asarray(pi(tab["qpts"].reshape(-1, 2)), float) \
+        .reshape(wq.shape)
+    mean = np.einsum("tq,tq->t", wq, pv) / wq.sum(axis=1)
+    span = np.abs(pv - mean[:, None]).max(axis=1)
 
-        def cost(c):
-            return float(np.dot(wq, A.eval(np.abs(pv - c))))
+    def cost(c):
+        return np.einsum("tq,tq->t", wq,
+                         A.eval(np.abs(pv - c[:, None]).ravel())
+                         .reshape(wq.shape))
 
-        lo, hi = mean - span, mean + span
-        x1 = hi - gr * (hi - lo)
-        x2 = lo + gr * (hi - lo)
-        f1, f2 = cost(x1), cost(x2)
-        for _ in range(60):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - gr * (hi - lo)
-                f1 = cost(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + gr * (hi - lo)
-                f2 = cost(x2)
-        vals[t] = 0.5 * (lo + hi)
+    lo, hi = mean - span, mean + span
+    x1 = hi - gr * (hi - lo)
+    x2 = lo + gr * (hi - lo)
+    f1, f2 = cost(x1), cost(x2)
+    for _ in range(60):
+        # keep [lo, x2] where f1 <= f2, else [x1, hi]; one new point each
+        left = f1 <= f2
+        lo = np.where(left, lo, x1)
+        hi = np.where(left, x2, hi)
+        x = np.where(left, hi - gr * (hi - lo), lo + gr * (hi - lo))
+        f = cost(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    vals = np.where(span == 0.0, mean, 0.5 * (lo + hi))
     areas = V.tri.areas()
     return vals - np.dot(vals, areas) / V.domain_measure
 

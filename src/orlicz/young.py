@@ -58,42 +58,20 @@ def default_grid(lo=GRID_MIN, hi=GRID_MAX, points=GRID_POINTS):
     return np.geomspace(lo, hi, points)
 
 
-def _bisect_boundary(pred, shape, lo=_BISECT_LO, hi=_BISECT_HI,
-                     iters=_BISECT_ITERS):
-    """Largest s with pred(s) True, for a vectorized monotone predicate.
+def _bisect_boundary_log(pred_u, shape, lo=-745.0, hi=_U_MAX):
+    """Largest u with pred_u(u) True, for a vectorized monotone predicate
+    of the log variable u = log s.
 
-    pred maps an array of abscissae to booleans, True on the low side.
-    Runs on the log axis.  Points where pred is False already at lo come
-    back as 0.0, points where it still holds at hi come back as inf.
-    """
-    lo_arr = np.full(shape, math.log(lo))
-    hi_arr = np.full(shape, math.log(hi))
-    ok_lo = pred(np.full(shape, lo))
-    ok_hi = pred(np.full(shape, hi))
-    for _ in range(iters):
-        mid = 0.5 * (lo_arr + hi_arr)
-        good = pred(np.exp(mid))
-        lo_arr = np.where(good, mid, lo_arr)
-        hi_arr = np.where(good, hi_arr, mid)
-    out = np.exp(0.5 * (lo_arr + hi_arr))
-    out = np.where(ok_lo, out, 0.0)
-    out = np.where(ok_hi, np.inf, out)
-    return out
-
-
-def _bisect_boundary_log(pred_u, shape, lo=-745.0, hi=_U_MAX,
-                         iters=_BISECT_ITERS):
-    """Same as _bisect_boundary but in the log variable u = log s.
-
-    pred_u takes u directly, so the search can range over magnitudes
-    whose exponential would overflow.  Returns u (may be +-inf at the
-    span ends).
+    pred_u maps an array of log abscissae to booleans, True on the low
+    side, so the search can range over magnitudes whose exponential
+    would overflow.  Points where pred_u is False already at lo come
+    back as -inf, points where it still holds at hi come back as +inf.
     """
     lo_arr = np.full(shape, float(lo))
     hi_arr = np.full(shape, float(hi))
     ok_lo = pred_u(lo_arr)
     ok_hi = pred_u(hi_arr)
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo_arr + hi_arr)
         good = pred_u(mid)
         lo_arr = np.where(good, mid, lo_arr)
@@ -102,6 +80,15 @@ def _bisect_boundary_log(pred_u, shape, lo=-745.0, hi=_U_MAX,
     out = np.where(ok_lo, out, -np.inf)
     out = np.where(ok_hi, np.inf, out)
     return out
+
+
+def _bisect_boundary(pred, shape):
+    """_bisect_boundary_log over [_BISECT_LO, _BISECT_HI] for a predicate
+    of s itself, returning s: 0.0 where pred fails already at the left
+    end, inf where it still holds at the right end."""
+    return np.exp(_bisect_boundary_log(lambda u: pred(np.exp(u)), shape,
+                                       math.log(_BISECT_LO),
+                                       math.log(_BISECT_HI)))
 
 
 class YoungFunction:

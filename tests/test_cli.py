@@ -158,6 +158,42 @@ def test_bad_config_grid_names_field(tmp_path, capsys, grid):
     assert "params.grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, field", [
+    ("stability_grid=0", "params.stability_grid"),
+    ("stability_grid=1", "params.stability_grid"),
+    ("n_random=0", "params.n_random"),
+    ("grids=[64,0]", "params.grids"),
+])
+def test_bad_disk_counts_name_field(tmp_path, capsys, setting, field):
+    # checked before any solve, so the default 64^2 and 128^2 residual
+    # grids cost nothing here
+    assert run_cli("run", "bogovskii", "--set", setting,
+                   "--out", str(tmp_path)) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("fem", "infsup", "--mesh", "square:0"), "--mesh"),
+    (("fem", "projection", "--mesh", "square:-0.25"), "--mesh"),
+    (("fem", "pressure", "--mesh", "square:1/4,nan"), "--mesh"),
+    (("run", "fem_infsup", "--mesh", "square:1/0"), "--mesh"),
+    (("run", "fem_suite", "--set", "hs=[0.25,-0.1]"), "params.hs"),
+    (("run", "fem_suite", "--set", "hs=[]"), "params.hs"),
+])
+def test_nonpositive_mesh_pitch_exit_2(tmp_path, capsys, argv, field):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_nonpositive_mesh_file_pitch_names_field(tmp_path, capsys):
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                                "h": [0.5, 0]}))
+    assert run_cli("fem", "infsup", "--mesh", str(mesh),
+                   "--out", str(tmp_path)) == 2
+    assert "params.mesh" in capsys.readouterr().err
+
+
 def test_run_balance_single_pair(tmp_path):
     rc = run_cli("run", "balance", "--pair", "zygmund:1:1:zygmund:1:0",
                  "--out", str(tmp_path))

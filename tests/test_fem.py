@@ -71,16 +71,56 @@ def test_pitch_rounds_up():
     assert fem.triangulate(SQUARE, 0.3).n_simplices == 32
 
 
-def test_l_shape_coarse_mesh_refines():
+def _lshape_mesh():
     verts = [(0, 0), (0.5, 0), (1, 0), (0, 0.5), (0.5, 0.5), (1, 0.5),
              (0, 1), (0.5, 1)]
     tris = [(0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (3, 4, 7),
             (3, 7, 6)]
     poly = [(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)]
-    mesh = fem.triangulate(poly, 0.125, coarse=(verts, tris))
+    return fem.triangulate(poly, 0.125, coarse=(verts, tris))
+
+
+def test_l_shape_coarse_mesh_refines():
+    mesh = _lshape_mesh()
     assert float(mesh.areas().sum()) == pytest.approx(0.75, abs=1e-14)
     assert mesh.min_angle() == pytest.approx(45.0, abs=1e-9)
     assert mesh.h <= 0.125 * math.sqrt(2.0) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("mesh", ["lshape", "square8"])
+def test_edge_numbering_matches_first_appearance_oracle(mesh):
+    # the dof order, and with it the ascent's random directions, follows
+    # the edge numbering: edges numbered in order of first appearance
+    # over (simplex, local vertex), edge k opposite local vertex k
+    tri = _lshape_mesh() if mesh == "lshape" \
+        else fem.triangulate(SQUARE, 0.125)
+    lookup, edges = {}, []
+    simplex_edges = np.empty((tri.n_simplices, 3), dtype=int)
+    for t, s in enumerate(tri.simplices):
+        for k in range(3):
+            key = tuple(sorted((int(s[(k + 1) % 3]), int(s[(k + 2) % 3]))))
+            if key not in lookup:
+                lookup[key] = len(edges)
+                edges.append(key)
+            simplex_edges[t, k] = lookup[key]
+    counts = np.zeros(len(edges), dtype=int)
+    for e in simplex_edges.ravel():
+        counts[e] += 1
+    boundary_vertex = np.zeros(tri.n_vertices, dtype=bool)
+    for e in np.nonzero(counts == 1)[0]:
+        boundary_vertex[list(edges[e])] = True
+    assert np.array_equal(tri.edges, np.array(edges))
+    assert np.array_equal(tri.simplex_edges, simplex_edges)
+    assert np.array_equal(tri.boundary_edge_mask, counts == 1)
+    assert np.array_equal(tri.boundary_vertex_mask, boundary_vertex)
+    # the orientation signs: +1 exactly when the stored edge runs
+    # counterclockwise around the simplex
+    p = tri.vertices
+    for t, s in enumerate(tri.simplices):
+        for k in range(3):
+            a, b = tri.edges[tri.simplex_edges[t, k]]
+            left = fem._cross2(p[b] - p[a], p[s[k]] - p[a]) > 0
+            assert tri.simplex_edge_signs[t, k] == (1 if left else -1)
 
 
 def test_bad_meshes_rejected():
@@ -357,6 +397,48 @@ def test_projection_zero_on_boundary(spaces):
                      [0.0, 0.0]])
     vals = fem.evaluate_velocity(V, rep["coeffs"], bpts)
     assert np.abs(vals).max() <= 1e-13
+
+
+def test_projection_exact_at_h32():
+    # the dual-graph Laplacian solve keeps the 1/32 projection cheap; the
+    # dense araw behind the defect check is about 130 MB here
+    V = fem.FESpacePair(fem.triangulate(SQUARE, 1.0 / 32.0), k=2, m=0)
+    rep = fem.projection_apply(smooth_u, V)
+    assert rep["defect_after"] <= 1e-12
+    assert rep["defect_before"] > 1e-8
+
+
+def test_projection_on_corner_touching_squares():
+    # two squares sharing one vertex: the bubble flow splits into two
+    # pieces, and the least-squares flow leaves each piece's mean defect
+    a = fem.Triangulation.structured_rectangle((0, 0), (1, 1), 4, 4)
+    b = fem.Triangulation.structured_rectangle((1, 1), (2, 2), 4, 4)
+    # b's first vertex is (1, 1), a's last one
+    ids = np.concatenate([[a.n_vertices - 1],
+                          a.n_vertices + np.arange(b.n_vertices - 1)])
+    tri = fem.Triangulation(np.vstack([a.vertices, b.vertices[1:]]),
+                            np.vstack([a.simplices, ids[b.simplices]]))
+    V = fem.FESpacePair(tri, k=2, m=0)
+
+    def u(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack([np.sin(2 * x + y), np.cos(x - y)], axis=-1)
+
+    def bumped(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return (np.sin(np.pi * x) * np.sin(np.pi * y))[:, None] ** 2 \
+            * u(pts)
+
+    # zero trace on both squares: every piece's defects sum to zero
+    rep = fem.projection_apply(bumped, V)
+    assert rep["defect_before"] > 1e-6
+    assert rep["defect_after"] <= 1e-12
+    # nonzero boundary flux: the residual is constant on each square
+    rep = fem.projection_apply(u, V)
+    resid = fem._flux_integrals(V, u) - V.araw.T @ rep["coeffs"]
+    for piece in np.split(resid, [a.n_simplices]):
+        assert np.ptp(piece) <= 1e-12
+    assert np.ptp(resid) > 1e-3
 
 
 def test_projection_needs_quadratic_space(spaces):
