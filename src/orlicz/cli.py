@@ -579,13 +579,15 @@ def _drive_balance_matrix(p, out):
 
 
 def _drive_norm_machinery(p, out):
+    n_fields, n_chi, n_hardy = (_count(p[f], "params." + f)
+                                for f in ("n_fields", "n_chi", "n_hardy"))
     rng = np.random.default_rng(int(p["seed"]))
     fams = [young.power(1.5), young.power(4.0), young.zygmund(1, 1),
             young.exponential(1.0)]
     labels = ["power:1.5", "power:4", "zygmund:1:1", "exp:1"]
 
     worst_inv = 0.0
-    for _ in range(int(p["n_fields"])):
+    for _ in range(n_fields):
         u = _random_square_field(rng, int(rng.integers(2, 9)),
                                  rng.uniform(0.05, 20))
         star = rearrange(u)
@@ -597,7 +599,7 @@ def _drive_norm_machinery(p, out):
     worst_chi = 0.0
     n = 8
     for A in fams:
-        for _ in range(int(p["n_chi"])):
+        for _ in range(n_chi):
             c = rng.uniform(0.2, 8.0)
             k = int(rng.integers(1, n * n))
             vals = np.zeros(n * n)
@@ -608,7 +610,7 @@ def _drive_norm_machinery(p, out):
             worst_chi = max(worst_chi, abs(got - want) / want)
 
     worst_hardy = 0.0
-    for _ in range(int(p["n_hardy"])):
+    for _ in range(n_hardy):
         m = int(rng.integers(1, 12))
         w = rng.uniform(0.01, 1.0, size=m)
         v = np.sort(rng.uniform(0, 5.0, size=m))[::-1]
@@ -749,11 +751,10 @@ def _drive_domain_split(p, out):
 
 
 def _drive_negative_norm(p, out):
-    n = int(p["n"])
-    depth = int(p["depth"])
-    if depth < 2:
-        raise UsageError("params.depth must be at least 2: the enrichment "
-                         "check compares two levels (got %d)" % depth)
+    n = _count(p["n"], "params.n", least=2)  # pairings need two cells a side
+    # the enrichment check compares two levels
+    depth = _count(p["depth"], "params.depth", least=2)
+    k = _count(p["k"], "params.k")
     fam = negnorm.TestFamily.bubbles((0.0, 0.0), (1.0, 1.0), depth=depth)
     depths = range(1, depth + 1)
     prefix = {d: sum(m.scale < d for m in fam.members) for d in depths}
@@ -813,7 +814,7 @@ def _drive_negative_norm(p, out):
     sup_rows = []
     for literal, A in (("power:2", young.power(2.0)),
                        ("zygmund:1:1", young.zygmund(1.0, 1.0))):
-        rep = negnorm.sup_approx_convergence(v, A, K=int(p["k"]))
+        rep = negnorm.sup_approx_convergence(v, A, K=k)
         final = rep["steps"][-1]
         gap = abs(final["norm"] - rep["target"]) / rep["target"]
         sup_rows.extend((literal, row["k"], row["norm"], rep["target"])
@@ -834,6 +835,7 @@ def _drive_fem_suite(p, out):
         raise UsageError("params.hs: expected a non-empty list of mesh "
                          "pitches, got %r" % (p["hs"],))
     hs = [_parse_h(str(h), "params.hs") for h in p["hs"]]
+    n_fields = _count(p["n_fields"], "params.n_fields")
     seed = int(p["seed"])
     spaces_by_h = {h: fem.FESpacePair(fem.triangulate(_SQUARE, h), k=2)
                    for h in hs}
@@ -883,7 +885,7 @@ def _drive_fem_suite(p, out):
 
     rng = np.random.default_rng(7)
     worst_defect = 0.0
-    for _ in range(int(p["n_fields"])):
+    for _ in range(n_fields):
         c = rng.standard_normal(12) * 0.8
 
         def u(pts, c=c):

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from orlicz.spaces import SampledField, luxemburg_norm, pairing
 from orlicz.young import check_balance, young_to_json
@@ -55,6 +56,28 @@ def _bubble_anti(t, a, b):
     c = b - a
     s = np.clip(t - a, 0.0, c)
     return c * c * s ** 3 / 3.0 - c * s ** 4 / 2.0 + s ** 5 / 5.0
+
+
+def _square_grid(u, what):
+    """(n, xs, ys) of a field on a uniform square n-by-n grid, n >= 2.
+
+    Cell i * n + j must sit at (xs[i], ys[j]) with xs and ys increasing
+    (row-major order); anything else raises ValueError naming ``what``.
+    """
+    n = int(round(math.sqrt(u.n_cells)))
+    if n < 2 or n * n != u.n_cells:
+        raise ValueError("%s needs a square-grid field" % what)
+    cent = u.centroids
+    xs = cent[::n, 0]
+    ys = cent[:n, 1]
+    if not (np.array_equal(cent[:, 0], np.repeat(xs, n))
+            and np.array_equal(cent[:, 1], np.tile(ys, n))):
+        raise ValueError("%s needs row-major grid ordering" % what)
+    for c in (xs, ys):
+        d = np.diff(c)
+        if not (d[0] > 0.0 and np.all(np.abs(d - d[0]) <= 1e-6 * d[0])):
+            raise ValueError("%s needs a uniform increasing grid" % what)
+    return n, xs, ys
 
 
 @dataclass(frozen=True)
@@ -148,15 +171,7 @@ class TestFamily:
         a constant u pairs to exactly zero.
         """
         mem = self.members[idx]
-        n = int(round(math.sqrt(u.n_cells)))
-        cent = u.centroids
-        xs = np.unique(cent[:, 0])
-        ys = np.unique(cent[:, 1])
-        if n * n != u.n_cells or xs.size != n or ys.size != n:
-            raise ValueError("pairing needs a square-grid field")
-        if not (np.array_equal(cent[::n, 0], xs)
-                and np.array_equal(cent[:n, 1], ys)):
-            raise ValueError("pairing needs row-major grid ordering")
+        n, xs, ys = _square_grid(u, "pairing")
         hx = xs[1] - xs[0]
         hy = ys[1] - ys[0]
         ex = np.concatenate([xs - hx / 2.0, [xs[-1] + hx / 2.0]])
@@ -247,23 +262,39 @@ def _truncate(v, k):
 def _mollify(v, radius):
     """Partition-normalized mollification with the polynomial bump.
 
-    Weights are the radial bump ((1 - |z|^2/r^2)_+)^4 against cell
-    measures, normalized per target cell; constants are reproduced
-    exactly and the sup norm never grows.
+    out_i = sum_j w_ij m_j v_j / sum_j w_ij m_j, with the radial bump
+    w_ij = ((1 - |x_i - x_j|^2/r^2)_+)^4 and cell measures m_j, so
+    constants are reproduced exactly and the sup norm never grows.
+
+    ``v`` must live on a uniform square row-major grid (ValueError
+    otherwise).  The bump is then one stencil of at most n - 1 cells
+    each way, and both sums are zero-padded FFT correlations with it.
+    A cell with no nonzero value within reach is an exact zero: the
+    correlation of the nonzero indicator with the disc footprint counts
+    those values, and an integer count rounds exactly.
     """
-    cent = v.centroids
-    vals = v.values
-    meas = v.measures
-    out = np.zeros_like(vals)
-    block = 512
+    n, xs, ys = _square_grid(v, "mollification")
+    vals = v.values.reshape(n, n)
+    meas = v.measures.reshape(n, n)
     r2 = radius * radius
-    for start in range(0, cent.shape[0], block):
-        sl = slice(start, min(start + block, cent.shape[0]))
-        d2 = np.sum((cent[sl, None, :] - cent[None, :, :]) ** 2, axis=-1)
-        w = np.where(d2 < r2, (1.0 - d2 / r2) ** 4, 0.0) * meas
-        den = w.sum(axis=1)
-        out[sl] = (w @ vals) / np.where(den > 0, den, 1.0)
-    return v.with_values(out)
+    reach = [min(math.ceil(radius / (c[1] - c[0])), n - 1) for c in (xs, ys)]
+    ox, oy = [np.arange(-r, r + 1) * (c[1] - c[0])
+              for r, c in zip(reach, (xs, ys))]
+    d2 = ox[:, None] ** 2 + oy[None, :] ** 2
+    footprint = d2 < r2
+    bump = np.where(footprint, (1.0 - d2 / r2) ** 4, 0.0)
+
+    # the bump takes measure * value and measure, the footprint the
+    # nonzero indicator; the stencil is symmetric, so convolving is
+    # correlating
+    data = np.stack([meas * vals, meas, (meas > 0.0) & (vals != 0.0)])
+    shape = [scipy.fft.next_fast_len(n + 2 * r, real=True) for r in reach]
+    kern = scipy.fft.rfft2(np.stack([bump, footprint]), s=shape)[[0, 0, 1]]
+    full = scipy.fft.irfft2(scipy.fft.rfft2(data, s=shape) * kern, s=shape)
+    num, den, count = full[:, reach[0]:reach[0] + n, reach[1]:reach[1] + n]
+    out = np.where(np.rint(count) > 0.0,
+                   num / np.where(den > 0.0, den, 1.0), 0.0)
+    return v.with_values(out.ravel())
 
 
 def sup_approx_convergence(v, A, K=32, probe=None):
@@ -276,15 +307,21 @@ def sup_approx_convergence(v, A, K=32, probe=None):
     space (which should approach the norm of v), the norm of the bare
     truncation (nondecreasing), and the pairing with the probe field
     when one is given.
+
+    ``v`` must be a scalar field on a uniform square row-major grid,
+    as :meth:`TestFamily.pairing` requires, and K an integer >= 1;
+    anything else raises ValueError.
     """
+    if not isinstance(K, (int, np.integer)) or K < 1:
+        raise ValueError("K must be an integer >= 1, got %r" % (K,))
+    n, _, _ = _square_grid(v, "sup_approx_convergence")
     Atilde = A.conjugate()
     target = luxemburg_norm(v, Atilde)
     cent = v.centroids
     lo = cent.min(axis=0)
     hi = cent.max(axis=0)
     # cell half-width back to the true box edge
-    hx = (hi[0] - lo[0]) / (math.sqrt(cent.shape[0]) - 1) if \
-        cent.shape[0] > 1 else 1.0
+    hx = (hi[0] - lo[0]) / (n - 1)
     lo = lo - hx / 2.0
     hi = hi + hx / 2.0
     dist = np.minimum.reduce([

@@ -362,11 +362,31 @@ def _modular_scaled(mags, meas, A, lam):
     return math.fsum(terms)
 
 
-def luxemburg_norm(u, A, rtol=_NORM_RTOL):
-    """inf { lam > 0 : integral A(|u|/lam) <= 1 } by bisection in log lam.
+def _log(m):
+    return math.log(m) if m > 0.0 else -math.inf
 
-    Returns the upper end of the final bracket, so the modular at the
-    reported norm never exceeds 1.  The zero field has norm 0.
+
+def luxemburg_norm(u, A):
+    """inf { lam > 0 : integral A(|u|/lam) <= 1 }.
+
+    A doubling search brackets the norm between powers of two.  The
+    root of g(t) = log M(e^t), M(lam) the modular at scale lam, is then
+    found by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) in
+    t = log lam.  Each step probes the secant root shifted by -rtol/4
+    and then by +rtol/4 in t, so a good estimate closes both ends of
+    the bracket at once; the second probe is skipped when the first
+    lands above the root or the secant puts the root past the second.
+    Where M is 0 or inf at an end (capped and vanishing kinds) the step
+    is a log-midpoint instead.  For a power, g is linear and the secant
+    lands in one step.
+
+    Returns the upper end hi of a bracket with hi - lo <= rtol * hi,
+    rtol = 1e-12, and M(hi) <= 1: the modular of |u|/hi never exceeds
+    1.  The shifted probes leave hi a margin above the root, which
+    keeps the modular of u * (1/hi) at most 1 as well.  The iterates
+    depend only on modular values, which are exactly rounded sums, so
+    the result is invariant under rearrangement.  The zero field has
+    norm 0.
     """
     mags, meas = _norm_data(u)
     keep = (meas > 0) & (mags > 0)
@@ -375,27 +395,54 @@ def luxemburg_norm(u, A, rtol=_NORM_RTOL):
         return 0.0
     hi = float(np.max(mags))
     for _ in range(4200):
-        if _modular_scaled(mags, meas, A, hi) <= 1.0:
+        m_hi = _modular_scaled(mags, meas, A, hi)
+        if m_hi <= 1.0:
             break
         hi *= 2.0
     else:
         raise ArithmeticError("no upper bracket for the Luxemburg norm")
     lo = hi / 2.0
     for _ in range(4200):
-        if _modular_scaled(mags, meas, A, lo) > 1.0:
+        m_lo = _modular_scaled(mags, meas, A, lo)
+        if m_lo > 1.0:
             break
-        hi = lo
+        hi, m_hi = lo, m_lo
         lo /= 2.0
         if lo < 1e-300:
             return 0.0
+    g_lo, g_hi = _log(m_lo), _log(m_hi)
+    shift = _NORM_RTOL / 4.0
+    last = ""  # the end the previous step moved, when it moved one
     for _ in range(300):
-        if hi - lo <= rtol * hi:
+        if hi - lo <= _NORM_RTOL * hi:
             break
-        mid = math.sqrt(lo * hi)
-        if _modular_scaled(mags, meas, A, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+        probes, slope = [math.sqrt(lo * hi)], None
+        if math.isfinite(g_lo) and math.isfinite(g_hi):
+            # g_lo > 0 >= g_hi, so the secant root lies in [t_lo, t_hi]
+            t_lo, t_hi = math.log(lo), math.log(hi)
+            slope = (g_hi - g_lo) / (t_hi - t_lo)
+            t = t_hi - g_hi / slope
+            probes = [lam for lam in (math.exp(t - shift),
+                                      math.exp(t + shift))
+                      if lo < lam < hi] or probes
+        moved = ""
+        for lam in probes:
+            m = _modular_scaled(mags, meas, A, lam)
+            if m <= 1.0:
+                hi, g_hi = lam, _log(m)
+                moved += "hi"
+                break  # a larger probe cannot improve hi
+            lo, g_lo = lam, _log(m)
+            moved += "lo"
+            if slope is not None and g_lo > -slope * 2.0 * shift:
+                break  # the root lies past the second probe
+        # Illinois: when one end moves two steps running, the value
+        # kept at the other end is halved
+        if moved == last == "hi":
+            g_lo /= 2.0
+        elif moved == last == "lo":
+            g_hi /= 2.0
+        last = moved
     return hi
 
 

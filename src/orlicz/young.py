@@ -24,6 +24,7 @@ Instances are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -260,7 +261,10 @@ class YoungFunction:
         elif self.kind == "tabulated":
             out = _flip_tabulated(self)
         else:
-            out = _numeric_conjugate(self)
+            # the conjugate refers to a cache-free copy of this function,
+            # so the two are not a reference cycle, which only a full
+            # garbage collection would free
+            out = _numeric_conjugate(copy.copy(self))
         self._conj_cache = out
         return out
 

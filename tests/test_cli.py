@@ -172,6 +172,22 @@ def test_bad_disk_counts_name_field(tmp_path, capsys, setting, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, setting, field", [
+    ("negnorm", "k=0", "params.k"),
+    ("negnorm", "k=abc", "params.k"),
+    ("negnorm", "n=1", "params.n"),
+    ("norm", "n_fields=abc", "params.n_fields"),
+    ("norm", "n_chi=0", "params.n_chi"),
+    ("norm", "n_hardy=2.5", "params.n_hardy"),
+    ("fem_suite", "n_fields=abc", "params.n_fields"),
+])
+def test_bad_counts_name_field(tmp_path, capsys, target, setting, field):
+    # checked before any norm or mesh is computed
+    assert run_cli("run", target, "--set", setting,
+                   "--out", str(tmp_path)) == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, field", [
     (("fem", "infsup", "--mesh", "square:0"), "--mesh"),
     (("fem", "projection", "--mesh", "square:-0.25"), "--mesh"),

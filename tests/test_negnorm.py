@@ -302,3 +302,45 @@ def test_mollification_preserves_mean_support():
     out = _mollify(_field(spot), 3.0 * H)
     dist = np.hypot(X - X[10, 10], Y - Y[10, 10])
     assert np.all(out.values.reshape(N, N)[dist > 3.5 * H] == 0.0)
+
+
+def _dense_mollify(v, radius):
+    # reference: the all-pairs form, one distance per (target, source)
+    d2 = np.sum((v.centroids[:, None, :] - v.centroids[None, :, :]) ** 2,
+                axis=-1)
+    r2 = radius * radius
+    w = np.where(d2 < r2, (1.0 - d2 / r2) ** 4, 0.0) * v.measures
+    den = w.sum(axis=1)
+    return (w @ v.values) / np.where(den > 0, den, 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
+def test_grid_mollifier_matches_dense_oracle(k):
+    from orlicz.negnorm import _mollify
+    n = 32
+    rng = np.random.default_rng(k)
+    vals = rng.normal(size=(n, n))
+    vals[:, 12:17] = 0.0  # a zero band wider than the small radii
+    vals[:3] = 0.0
+    v = SampledField.from_grid(vals, 1.0 / n)
+    got = _mollify(v, 1.0 / k).values
+    want = _dense_mollify(v, 1.0 / k)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+def test_mollifier_rejects_scattered_field():
+    from orlicz.negnorm import _mollify
+    rng = np.random.default_rng(3)
+    v = SampledField(rng.uniform(size=(16, 2)), np.full(16, 1.0 / 16),
+                     rng.normal(size=16))
+    with pytest.raises(ValueError, match="grid"):
+        _mollify(v, 0.25)
+    with pytest.raises(ValueError, match="grid"):
+        sup_approx_convergence(v, young.power(2.0), K=4)
+
+
+@pytest.mark.parametrize("K", [0, -1, 2.5])
+def test_sup_approx_rejects_bad_K(K):
+    with pytest.raises(ValueError, match="K"):
+        sup_approx_convergence(_compact_bubble(), young.power(2.0), K=K)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orlicz.young import power, zygmund, exponential, linear_cap
+from orlicz.young import power, zygmund, exponential, linear_cap, tabulated
 from orlicz import spaces as sp
 from orlicz.spaces import (
     SampledField,
@@ -215,6 +215,99 @@ def test_norm_under_cap():
     u = SampledField.from_grid(np.array([[1.0, -3.0], [2.0, 0.5]]), 0.5)
     assert luxemburg_norm(u, linear_cap(1.0)) == pytest.approx(3.0, rel=1e-10)
     assert luxemburg_norm(u, linear_cap(2.0)) == pytest.approx(1.5, rel=1e-10)
+
+
+def _bisection_norm(u, A, rtol=1e-12):
+    # reference: the geometric bisection in log lam that the root-finder
+    # replaced, on the same doubling bracket
+    mags, meas = sp._norm_data(u)
+    keep = (meas > 0) & (mags > 0)
+    mags, meas = mags[keep], meas[keep]
+    if mags.size == 0:
+        return 0.0
+    hi = float(np.max(mags))
+    while sp._modular_scaled(mags, meas, A, hi) > 1.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while sp._modular_scaled(mags, meas, A, lo) <= 1.0:
+        hi = lo
+        lo /= 2.0
+    for _ in range(300):
+        if hi - lo <= rtol * hi:
+            break
+        mid = math.sqrt(lo * hi)
+        if sp._modular_scaled(mags, meas, A, mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class _CountingYoung:
+    """Calls through to A and counts the calls (one per modular)."""
+
+    def __init__(self, A):
+        self.A = A
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.A(s)
+
+
+def _norm_corpus(rng):
+    fields = []
+    for i in range(12):
+        u = random_field(rng, n=int(rng.integers(2, 9)),
+                         scale=float(rng.uniform(0.05, 20)))
+        if i % 3 == 0:  # zero cells, which the norm skips
+            vals = u.values.copy()
+            vals[: vals.size // 3] = 0.0
+            u = u.with_values(vals)
+        fields.append(u)
+    return fields
+
+
+_TABULATED = tabulated([0.0, 0.5, 1.0, 3.0], [0.2, 0.2, 1.5, 4.0])
+
+
+@pytest.mark.parametrize("A", NORM_FAMILIES
+                         + [A.conjugate() for A in NORM_FAMILIES]
+                         + [linear_cap(1.5), _TABULATED,
+                            _TABULATED.conjugate()], ids=repr)
+def test_norm_agrees_with_bisection_oracle(A):
+    rng = np.random.default_rng(41)
+    for u in _norm_corpus(rng):
+        got = luxemburg_norm(u, A)
+        want = _bisection_norm(u, A)
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("A", [power(1.5), power(4.0), zygmund(1, 1),
+                               exponential(1.0)], ids=repr)
+def test_norm_takes_few_modular_evaluations(A):
+    # bisection took about 43; the secant steps need at most 16
+    rng = np.random.default_rng(42)
+    for B in (A, A.conjugate()):
+        counts = []
+        for u in _norm_corpus(rng):
+            counter = _CountingYoung(B)
+            luxemburg_norm(u, counter)
+            counts.append(counter.calls)
+        assert np.median(counts) <= 16, (B, counts)
+
+
+@pytest.mark.parametrize("A", NORM_FAMILIES
+                         + [A.conjugate() for A in NORM_FAMILIES]
+                         + [_TABULATED], ids=repr)
+def test_modular_at_returned_norm_never_exceeds_one(A):
+    rng = np.random.default_rng(43)
+    for u in _norm_corpus(rng):
+        lam = luxemburg_norm(u, A)
+        mags, meas = sp._norm_data(u)
+        keep = (meas > 0) & (mags > 0)
+        assert sp._modular_scaled(mags[keep], meas[keep], A, lam) <= 1.0
+        assert modular(u * (1.0 / lam), A) <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ constants frozen from verified runs of this module so that numerical
 drift shows up as a failure.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -168,6 +170,24 @@ def test_conjugate_involution():
             continue
         rel = np.abs(v2[m] - va[m]) / va[m]
         assert np.max(rel) <= 1e-6, (A.kind, A.params, float(np.max(rel)))
+
+
+def test_numeric_conjugate_leaves_no_reference_cycle():
+    # A caches its conjugate, which evaluates through A: were the two a
+    # cycle, each dropped pair (with its tables) would wait for a full
+    # garbage collection
+    gc.disable()
+    try:
+        for make in (lambda: zygmund(1, 1), lambda: exponential(1.0),
+                     eyring):
+            A = make()
+            At = A.conjugate()
+            At(np.geomspace(1e-3, 1e3, 7))
+            refs = [weakref.ref(A), weakref.ref(At)]
+            del A, At
+            assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_inverse_sandwich():
