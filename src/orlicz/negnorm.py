@@ -277,9 +277,9 @@ def _mollify(v, radius):
     vals = v.values.reshape(n, n)
     meas = v.measures.reshape(n, n)
     r2 = radius * radius
-    reach = [min(math.ceil(radius / (c[1] - c[0])), n - 1) for c in (xs, ys)]
-    ox, oy = [np.arange(-r, r + 1) * (c[1] - c[0])
-              for r, c in zip(reach, (xs, ys))]
+    h = [c[1] - c[0] for c in (xs, ys)]
+    reach = [min(math.ceil(radius / hk), n - 1) for hk in h]
+    ox, oy = [np.arange(-r, r + 1) * hk for r, hk in zip(reach, h)]
     d2 = ox[:, None] ** 2 + oy[None, :] ** 2
     footprint = d2 < r2
     bump = np.where(footprint, (1.0 - d2 / r2) ** 4, 0.0)

@@ -64,13 +64,12 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=None,
                     help="run length (default: run_seconds of "
                     "BENCHMARK.json)")
-    ap.add_argument("--workloads", nargs="+", default=None)
     args = ap.parse_args(argv)
 
     bench = _benchmark()
     if args.seconds is None:
         args.seconds = float(bench["run_seconds"])
-    names = args.workloads or [w["name"] for w in bench["workloads"]]
+    names = [w["name"] for w in bench["workloads"]]
     envs, out = [], {}
     for name in names:
         runs = []
