@@ -166,16 +166,6 @@ def test_power_norm_is_discrete_p_norm():
             assert luxemburg_norm(u, A) == pytest.approx(want, rel=1e-10)
 
 
-def test_modular_at_norm_is_one():
-    rng = np.random.default_rng(23)
-    for A in NORM_FAMILIES:  # finite continuous kinds
-        u = random_field(rng, scale=3.0)
-        lam = luxemburg_norm(u, A)
-        m = modular(u * (1.0 / lam), A)
-        assert m <= 1.0
-        assert m == pytest.approx(1.0, abs=1e-8)
-
-
 def test_norm_invariance_under_rearrangement():
     # the modular is a sum over the same cell multiset, so the two norms
     # agree exactly, well inside the 1e-10 budget
@@ -297,17 +287,27 @@ def test_norm_takes_few_modular_evaluations(A):
         assert np.median(counts) <= 16, (B, counts)
 
 
-@pytest.mark.parametrize("A", NORM_FAMILIES
-                         + [A.conjugate() for A in NORM_FAMILIES]
-                         + [_TABULATED], ids=repr)
-def test_modular_at_returned_norm_never_exceeds_one(A):
-    rng = np.random.default_rng(43)
-    for u in _norm_corpus(rng):
+def _modular_at_norm_cases():
+    rng = np.random.default_rng(23)
+    cases = [(A, random_field(rng, scale=3.0)) for A in NORM_FAMILIES]
+    # conjugates, a tabulated function and fields with zero cells
+    corpus = _norm_corpus(np.random.default_rng(43))
+    cases += [(A, u) for A in NORM_FAMILIES
+              + [A.conjugate() for A in NORM_FAMILIES] + [_TABULATED]
+              for u in corpus]
+    return cases
+
+
+def test_modular_at_norm_is_one():
+    for A, u in _modular_at_norm_cases():  # finite continuous kinds
         lam = luxemburg_norm(u, A)
+        m = modular(u * (1.0 / lam), A)
+        assert m <= 1.0
+        assert m == pytest.approx(1.0, abs=1e-8)
+        # the root-finder's own form, mags / lam, is <= 1 as well
         mags, meas = sp._norm_data(u)
         keep = (meas > 0) & (mags > 0)
         assert sp._modular_scaled(mags[keep], meas[keep], A, lam) <= 1.0
-        assert modular(u * (1.0 / lam), A) <= 1.0
 
 
 # ---------------------------------------------------------------------------

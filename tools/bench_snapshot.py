@@ -2,16 +2,18 @@
 
 Run from the root of a source checkout:
 
-    python3 tools/bench_snapshot.py 6 --seeds 1 2 3
+    python3 tools/bench_snapshot.py 6
 
 For every workload in ``BENCHMARK.json`` this runs
-``perfbench/run.py`` unchanged, once per seed untraced (end-to-end
-metrics) and once traced on the first seed (per-layer metrics), each in
-its own process and one after another.  It writes ``BENCH_<n>.json``
-with each run's metrics and operation counts, the per-workload medians
-over seeds, the environment run.py records (CPU count, Python, numpy,
-scipy, BLAS and thread settings) and the measured commit.  A failed or
-incorrect run is recorded, and the script exits 1 after writing.
+``perfbench/run.py`` unchanged, at its default run length, once per
+seed in ``SEEDS`` untraced (end-to-end metrics) and once traced on the
+first seed (per-layer metrics), each in its own process and one after
+another.  It writes ``BENCH_<n>.json`` with each workload's metric
+units, each run's metrics and operation counts, the per-workload
+medians over seeds, the environment run.py records (CPU count, Python,
+numpy, scipy, BLAS and thread settings) and the measured commit.  A
+failed or incorrect run is recorded, its workload's median is null, and
+the script exits 1 after writing.
 """
 
 import argparse
@@ -23,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+SEEDS = (1, 2, 3)
 
 
 def _git(*args):
@@ -31,26 +34,21 @@ def _git(*args):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _benchmark():
-    return json.loads((ROOT / "BENCHMARK.json").read_text())
-
-
-def _run(workload, seed, seconds, trace):
+def _run(workload, seed, trace):
+    """One run.py process: (run record, metric units, environment)."""
     cmd = [sys.executable, str(RUN), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=str(ROOT), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"seed": seed, "error": proc.stderr.strip()[-2000:]}, None
+        return {"seed": seed, "error": proc.stderr.strip()[-2000:]}, {}, None
     env = next((json.loads(line[len("env "):]) for line in lines
                 if line.startswith("env ")), None)
     result = json.loads(lines[-1])
     run = {"seed": seed, "correct": result["correct"],
            "attempted": result["attempted"], "failed": result["failed"],
-           "metrics": {k: m["value"] for k, m in result["metrics"].items()},
-           "units": {k: m["unit"] for k, m in result["metrics"].items()}}
-    return run, env
+           "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+    return run, {k: m["unit"] for k, m in result["metrics"].items()}, env
 
 
 def _ok(run):
@@ -60,40 +58,36 @@ def _ok(run):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("number", type=int, help="n in BENCH_<n>.json")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of "
-                    "BENCHMARK.json)")
     args = ap.parse_args(argv)
 
-    bench = _benchmark()
-    if args.seconds is None:
-        args.seconds = float(bench["run_seconds"])
-    names = [w["name"] for w in bench["workloads"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     envs, out = [], {}
-    for name in names:
-        runs = []
-        for seed in args.seeds:
-            run, env = _run(name, seed, args.seconds, 0)
+    for name in (w["name"] for w in bench["workloads"]):
+        runs, units = [], {}
+        for seed in SEEDS:
+            run, unit, env = _run(name, seed, 0)
             runs.append(run)
+            units.update(unit)
             envs.append(env)
             print("%s seed %d: %s" % (name, seed, run.get("metrics",
                                                           run.get("error"))))
-        traced, env = _run(name, args.seeds[0], args.seconds, 1)
+        traced, unit, env = _run(name, SEEDS[0], 1)
+        units.update(unit)
         envs.append(env)
-        good = [r for r in runs if "error" not in r]
-        median = {k: statistics.median(r["metrics"][k] for r in good)
-                  for k in (good[0]["metrics"] if good else {})}
-        out[name] = {"median": median, "runs": runs, "traced": traced}
+        median = None
+        if all(_ok(r) for r in runs):
+            median = {k: statistics.median(r["metrics"][k] for r in runs)
+                      for k in runs[0]["metrics"]}
+        out[name] = {"units": units, "median": median, "runs": runs,
+                     "traced": traced}
 
     envs = [e for e in envs if e is not None]
     snapshot = {
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git("status", "--porcelain")),
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   "--seconds %g --trace 0|1" % args.seconds,
-        "seeds": args.seeds,
-        "seconds": args.seconds,
+                   "--trace 0|1",
+        "seeds": list(SEEDS),
         "env": envs[0] if envs else None,
         "env_varied": any(e != envs[0] for e in envs),
         "workloads": out,
