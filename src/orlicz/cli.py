@@ -175,6 +175,28 @@ def _meshes_from_spec(spec, flag):
                      "got %r" % (flag, spec))
 
 
+def _check_fem_settings(p, prefix):
+    """Range-check the FE settings of a fem_* experiment before any mesh
+    is built, or exit 2 naming prefix + setting ('--k', 'params.k')."""
+    if _count(p["k"], prefix + "k") > 2:
+        raise UsageError("%sk: velocity degree must be 1 or 2, got %r"
+                         % (prefix, p["k"]))
+    if _count(p["m"], prefix + "m", least=0) != 0:
+        raise UsageError("%sm: only piecewise-constant pressure (0) is "
+                         "shipped, got %r" % (prefix, p["m"]))
+    if "method" not in p:
+        return
+    _count(p["seed"], prefix + "seed", least=0)
+    if p["method"] not in ("auto", "eigen", "ascent"):
+        raise UsageError("%smethod must be auto, eigen or ascent, got %r"
+                         % (prefix, p["method"]))
+    if p["method"] == "eigen" and not all(
+            map(fem._is_plain_quadratic,
+                _parse_pair_flag(p["pair"], prefix + "pair"))):
+        raise UsageError("%smethod: eigen needs the quadratic pair "
+                         "power:2:power:2, got %r" % (prefix, p["pair"]))
+
+
 def _parse_law(spec, flag):
     parts = str(spec).split(":")
     try:
@@ -388,6 +410,7 @@ def _drive_bogovskii_run(p, out):
     D = _load_domain(p["domain"], "params.domain")
     # the finite-difference gradient needs two cells per axis
     n = _count(p["grid"], "params.grid", least=2)
+    n_s = _count(p["n_s"], "params.n_s")
     if str(p["f"]) in _expressions():
         f = bogovskii.grid_field(D, _expressions()[p["f"]], n)
     else:
@@ -398,7 +421,7 @@ def _drive_bogovskii_run(p, out):
     nf = luxemburg_norm(rep["f"], A)
     grad_c = luxemburg_norm(gmag, B) / nf if nf > 0 else 0.0
     rearr = bogovskii.check_rearrangement_estimate(
-        rep["f"], rep["gradient"], float(p["rearr_c"]), n_s=int(p["n_s"]))
+        rep["f"], rep["gradient"], float(p["rearr_c"]), n_s=n_s)
     data = {"div_residual": rep["div_residual"],
             "grad_norm_C": grad_c,
             "modular_C": bogovskii.check_modular_bound(rep, A, B),
@@ -435,6 +458,7 @@ def _drive_negnorm_field(p, out):
 
 
 def _drive_fem_infsup(p, out):
+    _check_fem_settings(p, "params.")
     meshes = _meshes_from_spec(p["mesh"], "params.mesh")
     A, B = _parse_pair_flag(p["pair"], "params.pair")
     rows = []
@@ -459,6 +483,7 @@ def _drive_fem_infsup(p, out):
 
 
 def _drive_fem_pressure(p, out):
+    _check_fem_settings(p, "params.")
     A, B = _parse_pair_flag(p["pair"], "params.pair")
     if p["law"] is None:
         spec = str(p["mesh"])
@@ -499,6 +524,7 @@ def _drive_fem_pressure(p, out):
 
 
 def _drive_fem_projection(p, out):
+    _check_fem_settings(p, "params.")
     A, _ = _parse_pair_flag(p["pair"], "params.pair")
     rows = []
     assertions = []
@@ -526,8 +552,10 @@ def _drive_fem_projection(p, out):
 # -- suite drivers ------------------------------------------------------------
 
 def _drive_young_calculus(p, out):
-    s_inv = np.geomspace(1e-6, 1e6, int(p["n_points"]))
-    s_sand = np.geomspace(1e-6, 1e6, int(p["n_sandwich"]))
+    n_inv, n_sand = (_count(p[f], "params." + f)
+                     for f in ("n_points", "n_sandwich"))
+    s_inv = np.geomspace(1e-6, 1e6, n_inv)
+    s_sand = np.geomspace(1e-6, 1e6, n_sand)
     rows = []
     assertions = []
     for literal in p["families"]:
@@ -720,7 +748,9 @@ def _drive_domain_split(p, out):
     R1 = bogovskii.StarDomain.rectangle((0.0, 0.0), (1.0, 0.5))
     R2 = bogovskii.StarDomain.rectangle((0.0, 0.25), (0.5, 1.0))
     dec = bogovskii.DomainDecomposition([R1, R2])
-    n = int(p["n"])
+    # a single cell, centred on the boundary at (0.5, 0.5), samples the
+    # domain with zero measure
+    n = _count(p["n"], "params.n", least=2)
     f = bogovskii.grid_field(dec, lambda X, Y: X, n, bbox=((0, 0), (1, 1)))
     pieces = bogovskii.split_function(f, dec)
     active = f.measures > 0
@@ -867,8 +897,12 @@ def _drive_fem_suite(p, out):
                              values, None))
 
     from scipy.linalg import cholesky, solve_triangular, svdvals
-    Lg = cholesky(V0.velocity_gradient_gram(), lower=True)
-    X = solve_triangular(Lg, V0.A_matrix, lower=True)
+    # whiten by the Cholesky factor of G = kron(K, I2), one component at
+    # a time: rows 2i + c of the pairing belong to component c of node i
+    Lk = cholesky(V0.scalar_stiffness(), lower=True)
+    A = V0.A_matrix
+    X = solve_triangular(Lk, A.reshape(V0.n_scalar, -1),
+                         lower=True).reshape(A.shape)
     Lp = cholesky(V0.pressure_gram(), lower=True)
     W = solve_triangular(Lp, X.T, lower=True).T
     oracle = 2.0 * svdvals(W)[-1]
@@ -947,7 +981,8 @@ def _drive_determinism(p, out):
     if inner["experiment"] not in EXPERIMENTS:
         raise UsageError("params.inner: unknown experiment %r"
                          % inner["experiment"])
-    runs = int(p["runs"])
+    # a single run compares nothing
+    runs = _count(p["runs"], "params.runs", least=2)
     listings = []
     for r in range(runs):
         sub = out / ("pass%d" % (r + 1))
@@ -1213,6 +1248,7 @@ def cmd_fem(args):
     if args.verb == "pressure":
         params["law"] = args.law
         params["pi"] = "sinsin"
+    _check_fem_settings(params, "--")
     cfg = {"schema": SCHEMA, "experiment": exp, "params": params}
     if args.id:
         cfg["id"] = args.id

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (cho_factor, cho_solve, cholesky, eigh, lstsq,
-                          solve_triangular, svdvals)
+from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
@@ -63,7 +62,6 @@ _TRI_QW = np.array(
     + [(155.0 - math.sqrt(15.0)) / 1200.0] * 3
     + [(155.0 + math.sqrt(15.0)) / 1200.0] * 3)
 _N_QP = len(_TRI_QW)
-_RULE_DEGREE = 5
 
 # 4-point Gauss-Legendre on [0, 1], exact through degree 7; used for
 # edge fluxes
@@ -333,10 +331,6 @@ class FESpacePair:
             raise ValueError("velocity degree k must be 1 or 2")
         if m != 0:
             raise ValueError("only piecewise-constant pressure shipped")
-        need = k + max(k - 1, m)
-        if need > _RULE_DEGREE:
-            raise ValueError("quadrature degree insufficient: need %d"
-                             % need)
         self.tri = tri
         self.k = k
         self.m = m
@@ -353,9 +347,8 @@ class FESpacePair:
         self.n_velocity = 2 * self.n_scalar
         self.n_pressure = tri.n_simplices - 1
 
-        self._tables = None
-        self._araw = None
-        self._stiffness = None
+        self._tables = self._araw = self._stiffness = None
+        self._stiffness_factor = self._pencil = None
 
     # scalar node ids per element, matching the local shape order
     def element_nodes(self, t):
@@ -447,9 +440,9 @@ class FESpacePair:
         a = self._areas[:-1]
         return np.diag(a) - np.outer(a, a) / self.domain_measure
 
-    def velocity_gradient_gram(self):
-        """integral grad phi_i : grad phi_j (block diagonal over
-        components)."""
+    def scalar_stiffness(self):
+        """Scalar stiffness K, integral grad phi_i . grad phi_j over the
+        scalar nodes; the velocity Gram is G = kron(K, I2)."""
         if self._stiffness is None:
             tab = self.tables()
             loc = np.einsum("tq,tqax,tqbx->tab", tab["qw"],
@@ -461,10 +454,32 @@ class FESpacePair:
             K = np.zeros((self.n_scalar, self.n_scalar))
             np.add.at(K, (rows[keep], cols[keep]), loc[keep])
             self._stiffness = K
-        G = np.zeros((self.n_velocity, self.n_velocity))
-        G[0::2, 0::2] = self._stiffness
-        G[1::2, 1::2] = self._stiffness
-        return G
+        return self._stiffness
+
+    def velocity_gradient_gram(self):
+        """Dense integral grad phi_i : grad phi_j, built on every call;
+        the solvers here use gram_solve instead."""
+        return np.kron(self.scalar_stiffness(), np.eye(2))
+
+    def gram_solve(self, x):
+        """G^-1 x for a velocity vector or an (n_velocity, m) stack, one
+        component at a time against the factored scalar stiffness."""
+        if self._stiffness_factor is None:
+            self._stiffness_factor = cho_factor(self.scalar_stiffness())
+        x = np.asarray(x, float)
+        # row 2i + c of x is component c at scalar node i
+        cols = x.reshape(self.n_scalar, -1)
+        return cho_solve(self._stiffness_factor, cols).reshape(x.shape)
+
+    def schur_pencil(self):
+        """Ascending eigenvalues and Mp-orthonormal eigenvectors of
+        (A^T G^-1 A, Mp), built once: the one dense decomposition behind
+        the inf-sup constant, the rank flag and the pressure solve."""
+        if self._pencil is None:
+            A = self.A_matrix
+            self._pencil = eigh(A.T @ self.gram_solve(A),
+                                self.pressure_gram())
+        return self._pencil
 
     # -- field sampling helpers ------------------------------------------
 
@@ -562,15 +577,23 @@ def _h_at(H, V, qpts):
 
 
 def assemble_pressure_system(H, V):
-    """Divergence pairing matrix and load vector
-    b_i = integral H : grad phi_i."""
+    """Load vector b_i = integral H : grad phi_i; the pairing matrix
+    stays with the space."""
     tab = V.tables()
     Hq = _h_at(H, V, tab["qpts"])
     # H : grad(shape_a e_c) = sum_s H[c, s] grad_a[s]
     contrib = np.einsum("tq,tqcs,tqas->tac", tab["qw"], Hq, tab["grads"])
-    b = V._scatter(contrib)
-    return {"A_matrix": V.A_matrix, "b": b, "space": V,
-            "quad_degree": _RULE_DEGREE}
+    return {"b": V._scatter(contrib), "space": V}
+
+
+# The pairing is rank deficient, so the pair is not inf-sup stable, when
+# the smallest pencil eigenvalue is this small against the largest.
+# P1/P0 sits below 1e-15, P2/P0 above 0.2.
+_RANK_TOL = 1e-10
+
+
+def _rank_deficient(lam):
+    return bool(lam[0] <= _RANK_TOL * lam[-1])
 
 
 def reconstruct_pressure(system, mode="exact"):
@@ -578,37 +601,36 @@ def reconstruct_pressure(system, mode="exact"):
 
     The load is a functional on the velocity space, so the projection
     onto the range runs in the dual norm induced by the gradient Gram
-    matrix; that choice is what keeps the recovered pressure within a
-    mesh-independent factor of the best approximation.  exact mode
-    enforces the orthogonality precondition (relative residual at most
-    1e-10); least_squares mode reports the residual instead.  Rank
-    deficiency means the velocity/pressure pair is not inf-sup stable
-    and is a hard error naming the pair.
+    matrix G; that choice is what keeps the recovered pressure within a
+    mesh-independent factor of the best approximation.  The normal
+    equations give z = Phi Lam^-1 Phi^T A^T G^-1 b from the Schur
+    pencil.  exact mode enforces the orthogonality precondition
+    (relative residual in the G^-1 norm at most 1e-10); least_squares
+    mode reports the residual instead.  Rank deficiency means the
+    velocity/pressure pair is not inf-sup stable and is a hard error
+    naming the pair.
     """
     if mode not in ("exact", "least_squares"):
         raise ValueError("mode must be 'exact' or 'least_squares'")
-    A = system["A_matrix"]
     b = np.asarray(system["b"], float)
     V = system["space"]
-    L = cholesky(V.velocity_gradient_gram(), lower=True)
-    X = solve_triangular(L, A, lower=True)
-    c = solve_triangular(L, b, lower=True)
-    sv = svdvals(X)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    if rank < A.shape[1]:
+    lam, phi = V.schur_pencil()
+    if _rank_deficient(lam):
         raise ValueError(
             "divergence pairing is rank deficient: the (k=%d, m=%d) "
             "pair is not inf-sup stable on this mesh" % (V.k, V.m))
-    z, _, _, _ = lstsq(X, c)
-    resid = float(np.linalg.norm(X @ z - c))
-    cnorm = float(np.linalg.norm(c))
-    rel = resid / cnorm if cnorm > 0 else 0.0
+    A = V.A_matrix
+    gb = V.gram_solve(b)
+    z = phi @ ((phi.T @ (A.T @ gb)) / lam)
+    r = b - A @ z
+    bb = float(b @ gb)
+    rel = math.sqrt(max(float(r @ V.gram_solve(r)), 0.0) / bb) \
+        if bb > 0 else 0.0
     if mode == "exact" and rel > 1e-10:
         raise ValueError(
             "load vector is not orthogonal to the cokernel "
             "(relative residual %.3g); use least_squares mode" % rel)
-    values = V.pressure_values(z)
-    return {"coefficients": z, "values": values,
+    return {"coefficients": z, "values": V.pressure_values(z),
             "residual": rel, "mode": mode}
 
 
@@ -619,23 +641,6 @@ def _is_plain_quadratic(A):
         tuple(getattr(A, "params", ())) == (2.0, 1.0)
 
 
-def _infsup_eigen(V):
-    """Twice the smallest generalized singular value of the pairing.
-
-    The factor two is the conjugate-norm convention: the Luxemburg norm
-    for the conjugate of the plain quadratic is half the L2 norm, so
-    every L2-normalized ratio doubles.
-    """
-    A = V.A_matrix
-    G = V.velocity_gradient_gram()
-    Mp = V.pressure_gram()
-    cf = cho_factor(G)
-    S = A.T @ cho_solve(cf, A)
-    vals = eigh(S, Mp, eigvals_only=True)
-    lam_min = max(float(vals[0]), 0.0)
-    return 2.0 * math.sqrt(lam_min)
-
-
 def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
                    restarts=5):
     """Discrete inf-sup constant of the divergence pairing.
@@ -644,35 +649,34 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
     integral p div phi / (||p||_{L^B} ||grad phi||_{L^At}) with At the
     conjugate of A.
 
-    The quadratic pair reduces to a generalized eigenvalue problem and
-    is solved exactly.  Other pairs run an alternating scheme (inner
-    maximization warm-started at the quadratic optimum, outer random
-    line searches over the pressure sphere with seeded restarts); the
-    result is the minimum found, an upper bound whose tested property
-    is stability in h, not exactness.
+    The quadratic pair is solved exactly by the space's Schur pencil:
+    the value is twice the square root of its smallest eigenvalue.  The
+    factor two is the conjugate-norm convention: the Luxemburg norm for
+    the conjugate of the plain quadratic is half the L2 norm, so every
+    L2-normalized ratio doubles.  Other pairs run an alternating scheme
+    (inner maximization warm-started at the quadratic optimum, outer
+    random line searches over the pressure sphere with seeded
+    restarts); the result is the minimum found, an upper bound whose
+    tested property is stability in h, not exactness.
     """
-    sv = svdvals(V.A_matrix)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    rank_def = rank < V.A_matrix.shape[1]
-    report = {"h": V.tri.h, "n_velocity": V.n_velocity,
-              "n_pressure": V.n_pressure, "rank_deficient": bool(rank_def)}
+    quadratic = _is_plain_quadratic(A) and _is_plain_quadratic(B)
     if method == "auto":
-        method = "eigen" if (_is_plain_quadratic(A)
-                             and _is_plain_quadratic(B)) else "ascent"
-    if method == "eigen":
-        if not (_is_plain_quadratic(A) and _is_plain_quadratic(B)):
-            raise ValueError("eigen method requires the quadratic pair")
-        report["value"] = _infsup_eigen(V)
-        report["method"] = "eigen"
-        report["converged"] = True
-        return report
-    if method != "ascent":
+        method = "eigen" if quadratic else "ascent"
+    if method not in ("eigen", "ascent"):
         raise ValueError("method must be 'auto', 'eigen', or 'ascent'")
+    if method == "eigen" and not quadratic:
+        raise ValueError("eigen method requires the quadratic pair")
+    lam, phi = V.schur_pencil()
+    report = {"h": V.tri.h, "n_velocity": V.n_velocity,
+              "n_pressure": V.n_pressure,
+              "rank_deficient": _rank_deficient(lam)}
+    if method == "eigen":
+        report.update(value=2.0 * math.sqrt(max(float(lam[0]), 0.0)),
+                      method="eigen", converged=True)
+        return report
 
     At = A.conjugate()
     araw = V.araw
-    G = V.velocity_gradient_gram()
-    cf = cho_factor(G)
     areas = V.tri.areas()
 
     def p_norm(v):
@@ -694,7 +698,7 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
 
     def sup_ratio(v, refine):
         rhs = araw @ v
-        c = cho_solve(cf, rhs)
+        c = V.gram_solve(rhs)
         best = ratio(c, rhs)
         if not refine:
             return best
@@ -702,7 +706,7 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
         rng_in = np.random.default_rng(seed + 1)
         scale = np.linalg.norm(c)
         for _ in range(8):
-            d = cho_solve(cf, rng_in.standard_normal(len(c)))
+            d = V.gram_solve(rng_in.standard_normal(len(c)))
             d *= scale / max(np.linalg.norm(d), 1e-300)
             base = best
             c_next = c
@@ -718,10 +722,7 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
         return best
 
     # quadratic minimizer as the informed start
-    Mp = V.pressure_gram()
-    S = V.A_matrix.T @ cho_solve(cf, V.A_matrix)
-    _, vecs = eigh(S, Mp)
-    v_eig = V.pressure_values(vecs[:, 0])
+    v_eig = V.pressure_values(phi[:, 0])
 
     rng = np.random.default_rng(seed)
     best_val = math.inf
@@ -755,10 +756,8 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
             best_val = final
             # settled means the descent stalled before the cap
             best_settled = steps < max_iter
-    report["value"] = best_val
-    report["method"] = "ascent"
-    report["converged"] = best_settled
-    report["ratio_evals"] = evals[0]
+    report.update(value=best_val, method="ascent", converged=best_settled,
+                  ratio_evals=evals[0])
     return report
 
 

@@ -143,6 +143,12 @@ def test_malformed_pair_names_flag(tmp_path, capsys):
     (("bogovskii", "--grid", "1"), "--grid"),
     (("negnorm", "--u", "step_x", "--pair", "power:2:power:2",
       "--family-depth", "0"), "--family-depth"),
+    (("fem", "infsup", "--k", "3"), "--k"),
+    (("fem", "infsup", "--m", "1"), "--m"),
+    (("fem", "infsup", "--method", "eigen", "--pair", "zygmund:1:1:power:1"),
+     "--method"),
+    (("run", "fem_infsup", "--pair", "zygmund:1:1:power:1",
+      "--set", "method=eigen"), "params.method"),
 ])
 def test_out_of_range_count_flags_exit_2(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
@@ -180,6 +186,17 @@ def test_bad_disk_counts_name_field(tmp_path, capsys, setting, field):
     ("norm", "n_chi=0", "params.n_chi"),
     ("norm", "n_hardy=2.5", "params.n_hardy"),
     ("fem_suite", "n_fields=abc", "params.n_fields"),
+    ("fem_infsup", "k=abc", "params.k"),
+    ("fem_infsup", "m=1", "params.m"),
+    ("fem_infsup", "seed=abc", "params.seed"),
+    ("fem_infsup", "method=foo", "params.method"),
+    ("young", "n_points=abc", "params.n_points"),
+    ("young", "n_sandwich=0", "params.n_sandwich"),
+    ("split", "n=0", "params.n"),
+    ("split", "n=1", "params.n"),
+    ("determinism", "runs=0", "params.runs"),
+    ("determinism", "runs=1", "params.runs"),
+    ("bogovskii_run", "n_s=abc", "params.n_s"),
 ])
 def test_bad_counts_name_field(tmp_path, capsys, target, setting, field):
     # checked before any norm or mesh is computed

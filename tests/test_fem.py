@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular, svdvals
+from scipy.linalg import cholesky, lstsq, solve_triangular, svdvals
 
 from orlicz import exponential, eyring, power, zygmund
 from orlicz import fem
@@ -24,6 +24,15 @@ def spaces():
     for h in (0.5, 0.25, 0.125, 0.0625):
         out[h] = fem.FESpacePair(fem.triangulate(SQUARE, h), k=2, m=0)
     return out
+
+
+def sinsin(pts):
+    return np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
+
+
+def sinsin_tensor(pts):
+    """sinsin times the identity: a load off the range of the pairing."""
+    return sinsin(pts)[:, None, None] * np.eye(2)[None, :, :]
 
 
 def smooth_u(pts):
@@ -218,30 +227,42 @@ def test_exact_p0_recovery(spaces):
 
 def test_zero_load_gives_zero_pressure(spaces):
     V = spaces[0.25]
-    rec = fem.reconstruct_pressure(
-        {"A_matrix": V.A_matrix, "b": np.zeros(V.n_velocity), "space": V},
-        mode="exact")
+    rec = fem.reconstruct_pressure({"b": np.zeros(V.n_velocity), "space": V},
+                                   mode="exact")
     assert np.abs(rec["values"]).max() == 0.0
 
 
 def test_exact_mode_rejects_off_range_load(spaces):
     V = spaces[0.25]
-
-    def pi(prm):
-        return np.sin(2 * np.pi * prm[:, 0]) * np.sin(2 * np.pi * prm[:, 1])
-
-    def H(p):
-        return pi(p)[:, None, None] * np.eye(2)[None, :, :]
-
-    system = fem.assemble_pressure_system(H, V)
+    system = fem.assemble_pressure_system(sinsin_tensor, V)
     with pytest.raises(ValueError, match="least_squares"):
         fem.reconstruct_pressure(system, mode="exact")
     rec = fem.reconstruct_pressure(system, mode="least_squares")
     assert rec["residual"] > 1e-3
 
 
-def test_unstable_pair_error_names_it(spaces):
-    V1 = fem.FESpacePair(spaces[0.25].tri, k=1, m=0)
+@pytest.mark.parametrize("h", [0.25, 0.125])
+def test_least_squares_matches_dense_lstsq_oracle(spaces, h):
+    # oracle: whiten by the Cholesky factor of the dense gradient Gram
+    # and solve the least-squares problem directly; the library solves
+    # the same problem through the normal equations of the Schur pencil
+    V = spaces[h]
+    system = fem.assemble_pressure_system(sinsin_tensor, V)
+    b = system["b"]
+    L = cholesky(V.velocity_gradient_gram(), lower=True)
+    X = solve_triangular(L, V.A_matrix, lower=True)
+    c = solve_triangular(L, b, lower=True)
+    z, _, _, _ = lstsq(X, c)
+    resid = np.linalg.norm(X @ z - c) / np.linalg.norm(c)
+    rec = fem.reconstruct_pressure(system, mode="least_squares")
+    gap = np.abs(rec["coefficients"] - z).max() / np.abs(z).max()
+    assert gap <= 1e-10
+    assert rec["residual"] == pytest.approx(resid, rel=1e-10)
+
+
+@pytest.mark.parametrize("h", [0.25, 0.125])
+def test_unstable_pair_error_names_it(spaces, h):
+    V1 = fem.FESpacePair(spaces[h].tri, k=1, m=0)
     system = fem.assemble_pressure_system(
         lambda p: np.zeros((len(p), 2, 2)), V1)
     with pytest.raises(ValueError, match=r"k=1.*m=0"):
@@ -250,8 +271,7 @@ def test_unstable_pair_error_names_it(spaces):
 
 def test_mode_validation(spaces):
     V = spaces[0.25]
-    system = {"A_matrix": V.A_matrix, "b": np.zeros(V.n_velocity),
-              "space": V}
+    system = {"b": np.zeros(V.n_velocity), "space": V}
     with pytest.raises(ValueError):
         fem.reconstruct_pressure(system, mode="fastest")
 
@@ -300,8 +320,9 @@ def test_infsup_ascent_agrees_with_eigen(spaces):
     assert rep["converged"]
 
 
-def test_infsup_p1_p0_collapses(spaces):
-    V1 = fem.FESpacePair(spaces[0.25].tri, k=1, m=0)
+@pytest.mark.parametrize("h", [0.25, 0.125])
+def test_infsup_p1_p0_collapses(spaces, h):
+    V1 = fem.FESpacePair(spaces[h].tri, k=1, m=0)
     rep = fem.compute_infsup(V1, power(2), power(2), method="eigen")
     assert rep["rank_deficient"]
     assert rep["value"] <= 1e-6
@@ -338,6 +359,25 @@ def test_infsup_method_validation(spaces):
         fem.compute_infsup(V, zygmund(1, 1), power(1), method="eigen")
     with pytest.raises(ValueError):
         fem.compute_infsup(V, power(2), power(2), method="magic")
+
+
+def test_solvers_never_form_the_dense_gradient_gram(monkeypatch):
+    # every solver goes through the space's factored scalar stiffness;
+    # the dense interleaved Gram is left to the oracles
+    def refuse(self):
+        raise AssertionError("dense gradient Gram formed")
+
+    monkeypatch.setattr(fem.FESpacePair, "velocity_gradient_gram", refuse)
+    V = fem.FESpacePair(fem.triangulate(SQUARE, 0.25), k=2, m=0)
+    p2 = power(2)
+    assert fem.compute_infsup(V, p2, p2, method="eigen")["value"] > 0.5
+    rep = fem.compute_infsup(V, zygmund(1, 1), power(1), restarts=1,
+                             max_iter=5)
+    assert rep["value"] > 0.5
+    system = fem.assemble_pressure_system(sinsin_tensor, V)
+    assert fem.reconstruct_pressure(system, "least_squares")["residual"] > 0
+    rows = fem.pressure_error_study(sinsin, [0.25], p2, p2)
+    assert rows[0]["error"] > 0
 
 
 # -- divergence-preserving interpolation -----------------------------------
@@ -500,10 +540,7 @@ def test_study_nested_p0_is_exact():
 
 
 def test_study_first_order_rate_and_ratio_band():
-    def pi(pts):
-        return np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
-
-    rows = fem.pressure_error_study(pi, [0.25, 0.125, 0.0625],
+    rows = fem.pressure_error_study(sinsin, [0.25, 0.125, 0.0625],
                                     power(2), power(2))
     errs = [r["error"] for r in rows]
     # frozen: 0.249415926, 0.129705619, 0.065389808
@@ -521,10 +558,7 @@ def test_study_first_order_rate_and_ratio_band():
 
 
 def test_study_general_pair_ratio_bounded():
-    def pi(pts):
-        return np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
-
-    rows = fem.pressure_error_study(pi, [0.25, 0.125],
+    rows = fem.pressure_error_study(sinsin, [0.25, 0.125],
                                     zygmund(1, 1), power(1))
     ratios = [r["ratio"] for r in rows]
     # frozen: 1.092578470 and 1.070501000
