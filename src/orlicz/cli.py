@@ -43,53 +43,22 @@ class ExperimentError(Exception):
 
 # -- literals and input loading -------------------------------------------
 
-def _parse_young_flag(text, flag):
-    try:
-        return young.parse_young(text)
-    except (ValueError, IndexError) as exc:
-        raise UsageError("%s: %s" % (flag, exc))
-
-
-def _parse_pair_flag(text, flag):
-    try:
-        return young.parse_pair(text)
-    except (ValueError, IndexError) as exc:
-        raise UsageError("%s: %s" % (flag, exc))
-
-
-def _count(value, flag, least=1):
-    """An integer setting (grid size, family depth) >= least, or exit 2."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer() or value < least:
-        raise UsageError("%s must be an integer >= %d, got %r"
-                         % (flag, least, value))
-    return int(value)
-
-
-def _parse_h(token, flag):
-    """A pitch or radius written N or N/D; finite and > 0, or exit 2."""
-    token = token.strip()
-    num, _, den = token.partition("/")
+def _pitch_of(token):
+    """A pitch or radius written N or N/D; finite and > 0."""
+    num, _, den = str(token).strip().partition("/")
     try:
         h = float(num) / float(den) if den else float(num)
     except (ValueError, ZeroDivisionError):
         h = math.nan
     if not (math.isfinite(h) and h > 0):
-        raise UsageError("%s: %r is not a positive number" % (flag, token))
+        raise ValueError("%r is not a positive number" % token)
     return h
 
 
-def _square_pitches(spec, flag):
-    """The pitches of a square:H[,H...] mesh spec."""
-    hs = [_parse_h(tok, flag)
-          for tok in spec[len("square:"):].split(",") if tok.strip()]
-    if not hs:
-        raise UsageError("%s: no pitch given in %r" % (flag, spec))
-    return hs
-
-
-def _expressions():
-    """Named scalar expressions accepted by --f and --u."""
+def _corpus():
+    """The negative-norm corpus: ten fixed scalar expressions on the unit
+    square.  None has an exact odd symmetry about the centre, which would
+    pair to zero with every coarse test member and poison the bands."""
     return {
         "step_x": lambda X, Y: np.sign(X - 0.5),
         "step_y": lambda X, Y: np.sign(Y - 1.0 / 3.0),
@@ -104,9 +73,15 @@ def _expressions():
         "crease": lambda X, Y: np.abs(X - 0.3 * Y - 0.55),
         "bulge": lambda X, Y: 16.0 * X ** 2 * Y * (1 - X) * (1 - Y),
         "checker": lambda X, Y: np.sign((X - 0.3) * (Y - 0.65)),
-        "kink": lambda X, Y: np.sqrt(X ** 2 + Y ** 2) - 2.0 / 3.0,
-        "cospi": lambda X, Y: np.cos(math.pi * X) * np.sin(math.pi * Y),
     }
+
+
+def _expressions():
+    """Named scalar expressions accepted by --f and --u."""
+    return dict(
+        _corpus(),
+        kink=lambda X, Y: np.sqrt(X ** 2 + Y ** 2) - 2.0 / 3.0,
+        cospi=lambda X, Y: np.cos(math.pi * X) * np.sin(math.pi * Y))
 
 
 def _square_field(name, n):
@@ -117,98 +92,209 @@ def _square_field(name, n):
     return SampledField.from_grid(fn(X, Y), h)
 
 
-def _load_scalar_field(spec, n, flag):
+def _load_scalar_field(spec, n):
+    path = Path(spec)
     if spec in _expressions():
         return _square_field(spec, n)
-    path = Path(spec)
     if path.suffix == ".csv" and path.exists():
         return field_from_csv(path)
     if path.suffix == ".json" and path.exists():
         return SampledField.from_dict(json.loads(path.read_text()))
-    raise UsageError(
-        "%s: %r is neither a known expression (%s) nor a readable "
-        ".csv/.json file" % (flag, spec, ", ".join(sorted(_expressions()))))
+    raise ValueError(
+        "%r is neither a known expression (%s) nor a readable .csv/.json "
+        "file" % (spec, ", ".join(sorted(_expressions()))))
 
 
-def _load_domain(spec, flag):
+def _load_young(spec):
+    """A family literal, or a JSON file holding YoungFunction.to_dict()."""
+    if Path(spec).exists():
+        return young.young_from_dict(json.loads(Path(spec).read_text()))
+    return young.parse_young(spec)
+
+
+def _load_domain(spec):
     if spec == "disk":
         return bogovskii.StarDomain.disk()
-    if isinstance(spec, str) and spec.startswith("disk:"):
-        return bogovskii.StarDomain.disk(
-            radius=_parse_h(spec[5:], flag))
-    path = Path(str(spec))
-    if path.suffix == ".json" and path.exists():
-        doc = json.loads(path.read_text())
-        try:
-            return bogovskii.StarDomain(doc["vertices"],
-                                        doc["ball_center"],
-                                        doc["ball_radius"])
-        except (KeyError, ValueError) as exc:
-            raise UsageError("%s: %s: %s" % (flag, spec, exc))
-    raise UsageError("%s: expected 'disk', 'disk:R' or a polygon .json "
-                     "file, got %r" % (flag, spec))
+    if spec.startswith("disk:"):
+        return bogovskii.StarDomain.disk(radius=_pitch_of(spec[5:]))
+    if spec.endswith(".json") and Path(spec).exists():
+        doc = json.loads(Path(spec).read_text())
+        return bogovskii.StarDomain(doc["vertices"], doc["ball_center"],
+                                    doc["ball_radius"])
+    raise ValueError("expected 'disk', 'disk:R' or a polygon .json file, "
+                     "got %r" % spec)
 
 
-def _meshes_from_spec(spec, flag):
-    """List of (pitch, Triangulation) from square:H[,H...] or a file."""
-    if isinstance(spec, str) and spec.startswith("square:"):
-        return [(h, fem.triangulate(_SQUARE, h))
-                for h in _square_pitches(spec, flag)]
-    path = Path(str(spec))
-    if path.suffix == ".json" and path.exists():
-        doc = json.loads(path.read_text())
-        try:
-            polygon = doc["polygon"]
-            hs = doc["h"]
-            coarse = doc.get("coarse")
-        except KeyError as exc:
-            raise UsageError("%s: %s: missing key %s" % (flag, spec, exc))
-        if not isinstance(hs, list):
-            hs = [hs]
-        hs = [_parse_h(str(h), flag) for h in hs]
-        coarse_arg = None
+def _mesh_plan(spec):
+    """[(pitch, polygon, coarse)] of square:H[,H...] or of a mesh .json
+    file with keys polygon, h (one pitch or a list) and maybe coarse."""
+    if spec.startswith("square:"):
+        hs = [t for t in spec[len("square:"):].split(",") if t.strip()]
+        polygon, coarse = _SQUARE, None
+    elif spec.endswith(".json") and Path(spec).exists():
+        doc = json.loads(Path(spec).read_text())
+        hs = doc["h"] if isinstance(doc["h"], list) else [doc["h"]]
+        polygon, coarse = doc["polygon"], doc.get("coarse")
         if coarse is not None:
-            coarse_arg = (coarse["vertices"], coarse["simplices"])
-        return [(h, fem.triangulate(polygon, h, coarse=coarse_arg))
-                for h in hs]
-    raise UsageError("%s: expected square:H[,H...] or a mesh .json file, "
-                     "got %r" % (flag, spec))
+            coarse = (coarse["vertices"], coarse["simplices"])
+    else:
+        raise ValueError("expected square:H[,H...] or a mesh .json file, "
+                         "got %r" % spec)
+    if not hs:
+        raise ValueError("no pitch given in %r" % spec)
+    return [(_pitch_of(h), polygon, coarse) for h in hs]
 
 
-def _check_fem_settings(p, prefix):
-    """Range-check the FE settings of a fem_* experiment before any mesh
-    is built, or exit 2 naming prefix + setting ('--k', 'params.k')."""
-    if _count(p["k"], prefix + "k") > 2:
-        raise UsageError("%sk: velocity degree must be 1 or 2, got %r"
-                         % (prefix, p["k"]))
-    if _count(p["m"], prefix + "m", least=0) != 0:
-        raise UsageError("%sm: only piecewise-constant pressure (0) is "
-                         "shipped, got %r" % (prefix, p["m"]))
-    if "method" not in p:
-        return
-    _count(p["seed"], prefix + "seed", least=0)
-    if p["method"] not in ("auto", "eigen", "ascent"):
-        raise UsageError("%smethod must be auto, eigen or ascent, got %r"
-                         % (prefix, p["method"]))
-    if p["method"] == "eigen" and not all(
-            map(fem._is_plain_quadratic,
-                _parse_pair_flag(p["pair"], prefix + "pair"))):
-        raise UsageError("%smethod: eigen needs the quadratic pair "
-                         "power:2:power:2, got %r" % (prefix, p["pair"]))
+def _spaces(p):
+    """(pitch, FESpacePair) per mesh of a fem_* experiment, built one at
+    a time so that each space's factors are freed before the next."""
+    for h, polygon, coarse in _mesh_plan(p["mesh"]):
+        tri = fem.triangulate(polygon, h, coarse=coarse)
+        yield h, fem.FESpacePair(tri, k=p["k"], m=p["m"])
 
 
-def _parse_law(spec, flag):
-    parts = str(spec).split(":")
+def _parse_law(spec):
+    name, *args = spec.split(":")
+    if name == "power" and len(args) == 3:
+        return fem.StressLaw.power(*map(float, args))
+    if name == "eyring" and len(args) == 2:
+        return fem.StressLaw.eyring(*map(float, args))
+    raise ValueError("expected power:NU:KAPPA:P or eyring:NU:LAM, got %r"
+                     % spec)
+
+
+def _json_or_text(raw):
+    """A JSON value, or the text itself when it is not JSON."""
     try:
-        if parts[0] == "power" and len(parts) == 4:
-            return fem.StressLaw.power(float(parts[1]), float(parts[2]),
-                                       float(parts[3]))
-        if parts[0] == "eyring" and len(parts) == 3:
-            return fem.StressLaw.eyring(float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise UsageError("%s: %s" % (flag, exc))
-    raise UsageError("%s: expected power:NU:KAPPA:P or eyring:NU:LAM, "
-                     "got %r" % (flag, spec))
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+# -- parameter checks ---------------------------------------------------------
+#
+# Each experiment's schema gives every setting a default and one check.
+# A check takes (value, name), raises UsageError naming the setting, and
+# returns the value the driver reads.  _checked_params applies them all
+# before any driver runs.
+
+def _count(least=1):
+    """An integer >= least; an integer-valued float counts as one."""
+    def check(value, name):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not float(value).is_integer() or value < least:
+            raise UsageError("%s must be an integer >= %d, got %r"
+                             % (name, least, value))
+        return int(value)
+    return check
+
+
+def _positive(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (math.isfinite(value) and value > 0):
+        raise UsageError("%s must be a finite positive number, got %r"
+                         % (name, value))
+    return float(value)
+
+
+def _choice(*options):
+    """One of options; true and false match only themselves, not 1 and 0."""
+    def check(value, name):
+        for option in options:
+            if value == option \
+                    and isinstance(value, bool) == isinstance(option, bool):
+                return option
+        raise UsageError("%s must be one of %s, got %r"
+                         % (name, ", ".join(map(str, options)), value))
+    return check
+
+
+def _parsed(parse, what):
+    """Text that parse accepts: a literal, a spec or a file name."""
+    def check(value, name):
+        if not isinstance(value, str):
+            raise UsageError("%s: expected %s, got %r" % (name, what, value))
+        try:
+            parse(value)
+        except KeyError as exc:
+            raise UsageError("%s: %s lacks key %s" % (name, value, exc))
+        except (ValueError, IndexError, TypeError, OSError) as exc:
+            raise UsageError("%s: %s" % (name, exc))
+        return value
+    return check
+
+
+_bool = _choice(False, True)
+_young = _parsed(young.parse_young, "a family literal")
+_pair = _parsed(young.parse_pair, "a pair literal")
+_mesh = _parsed(_mesh_plan, "square:H[,H...] or a mesh .json file")
+_law = _parsed(_parse_law, "power:NU:KAPPA:P or eyring:NU:LAM")
+_field = _parsed(lambda spec: _load_scalar_field(spec, 2),
+                 "an expression name or a .csv/.json field file")
+
+
+def _list_of(check):
+    """A non-empty list: an empty one would run no check at all."""
+    def checked(value, name):
+        if not isinstance(value, list) or not value:
+            raise UsageError("%s: expected a non-empty list, got %r"
+                             % (name, value))
+        return [check(v, name) for v in value]
+    return checked
+
+
+def _sample_grid(value, name):
+    """young_doc's [MIN, MAX, POINTS]."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise UsageError("%s: expected [MIN, MAX, POINTS], got %r"
+                         % (name, value))
+    return [_positive(value[0], name), _positive(value[1], name),
+            _count()(value[2], name)]
+
+
+def _balance_entry(value, name):
+    """A pair literal, or [pair literal, expected admissibility or null]."""
+    literal, expected = value if isinstance(value, list) \
+        and len(value) == 2 else (value, None)
+    if expected is not None:
+        _bool(expected, name)
+    return _pair(literal, name), expected
+
+
+def _inner_config(value, name):
+    """A config of another experiment; its params are checked too."""
+    _checked_params(_check_config(value, name), prefix=name + ": ")
+    return value
+
+
+def _checked_params(cfg, flags=None, prefix=""):
+    """The params of cfg as given, with defaults filled in, and as checked
+    for the driver.  A bad field exits 2 naming params.FIELD, preceded by
+    the flag that set it (flags maps field to flag)."""
+    name = cfg["experiment"]
+    schema = EXPERIMENTS[name]["params"]
+    flags = flags or {}
+
+    def label(key):
+        field = "%sparams.%s" % (prefix, key)
+        return "%s (%s)" % (flags[key], field) if key in flags else field
+
+    given = cfg.get("params") or {}
+    for key in sorted(given):
+        if key not in schema:
+            raise UsageError(
+                "%s is not a setting of experiment %r (allowed: %s)"
+                % (label(key), name, ", ".join(sorted(schema))))
+    p = {key: default for key, (default, _) in schema.items()}
+    p.update(given)
+    if "seed" in cfg and "seed" in p:
+        p["seed"] = cfg["seed"]
+    q = {key: check(p[key], label(key))
+         for key, (_, check) in schema.items()}
+    for key, holds, why in EXPERIMENTS[name].get("rules", ()):
+        if not holds(q):
+            raise UsageError("%s: %s" % (label(key), why))
+    return p, q
 
 
 # -- report plumbing --------------------------------------------------------
@@ -262,26 +348,14 @@ def _check(name, passed, value=None, bound=None):
             "value": _sanitize(value), "bound": _sanitize(bound)}
 
 
-def _run_one(cfg, out_flag=None, quiet=False):
-    """Validate params, run the driver, emit files, return exit code."""
+def _run_one(cfg, out_flag=None, quiet=False, flags=None):
+    """Check params, run the driver, emit files, return exit code."""
     name = cfg["experiment"]
-    entry = EXPERIMENTS[name]
-    given = cfg.get("params") or {}
-    for key in sorted(given):
-        if key not in entry["params"]:
-            raise UsageError(
-                "params.%s is not a setting of experiment %r (allowed: %s)"
-                % (key, name, ", ".join(sorted(entry["params"]))))
-    p = dict(entry["params"])
-    p.update(given)
-    if "seed" in cfg and "seed" in p:
-        p["seed"] = cfg["seed"]
+    p, checked = _checked_params(cfg, flags)
     rid = cfg.get("id") or name
     out = _resolve_out(out_flag, cfg.get("out"))
     try:
-        result = entry["driver"](p, out)
-    except UsageError:
-        raise
+        result = EXPERIMENTS[name]["driver"](checked, out)
     except Exception as exc:
         raise ExperimentError("experiment %r failed: %s" % (rid, exc)) \
             from exc
@@ -352,14 +426,12 @@ def _vortex_grad(pts):
     return g
 
 
-def _pi_expr(name, flag):
+def _pi_expr(name):
     if name == "sinsin":
         return lambda pts: (np.sin(2 * math.pi * pts[:, 0])
                             * np.sin(2 * math.pi * pts[:, 1]))
-    if name in _expressions():
-        fn = _expressions()[name]
-        return lambda pts: fn(pts[:, 0], pts[:, 1])
-    raise UsageError("%s: unknown pressure expression %r" % (flag, name))
+    fn = _expressions()[name]
+    return lambda pts: fn(pts[:, 0], pts[:, 1])
 
 
 def _random_square_field(rng, n, scale):
@@ -369,18 +441,14 @@ def _random_square_field(rng, n, scale):
 # -- direct-command drivers ---------------------------------------------------
 
 def _drive_young_doc(p, out):
-    A = _parse_young_flag(p["young"], "params.young") \
-        if not Path(str(p["young"])).exists() \
-        else young.young_from_dict(json.loads(Path(p["young"]).read_text()))
+    A = _load_young(p["young"])
     lo, hi, n = p["grid"]
-    s = np.geomspace(float(lo), float(hi), int(n))
+    s = np.geomspace(lo, hi, n)
     vals = A(s)
     conj = A.conjugate()(s)
     rel = _involution_rel(A, s)
-    data = {"young": A.to_dict(), "grid": {"min": float(lo),
-                                           "max": float(hi),
-                                           "points": int(n)},
-            "involution_max_rel": rel}
+    data = {"young": A.to_dict(), "involution_max_rel": rel,
+            "grid": {"min": lo, "max": hi, "points": n}}
     table = ("samples", (["s", "value", "conjugate_value"],
                          [(float(si), float(v), float(c))
                           for si, v, c in zip(s, vals, conj)]))
@@ -391,9 +459,8 @@ def _drive_young_doc(p, out):
 
 
 def _drive_norm_file(p, out):
-    u = _load_scalar_field(p["field"], _count(p["n"], "params.n"),
-                           "params.field")
-    A = _parse_young_flag(p["young"], "params.young")
+    u = _load_scalar_field(p["field"], p["n"])
+    A = young.parse_young(p["young"])
     norm = luxemburg_norm(u, A)
     data = {"norm": norm, "modular": modular(u, A),
             "n_cells": u.n_cells, "domain_measure": u.domain_measure}
@@ -407,21 +474,19 @@ def _drive_norm_file(p, out):
 
 
 def _drive_bogovskii_run(p, out):
-    D = _load_domain(p["domain"], "params.domain")
-    # the finite-difference gradient needs two cells per axis
-    n = _count(p["grid"], "params.grid", least=2)
-    n_s = _count(p["n_s"], "params.n_s")
-    if str(p["f"]) in _expressions():
+    D = _load_domain(p["domain"])
+    n = p["grid"]
+    if p["f"] in _expressions():
         f = bogovskii.grid_field(D, _expressions()[p["f"]], n)
     else:
-        f = _load_scalar_field(p["f"], n, "params.f")
-    A, B = _parse_pair_flag(p["pair"], "params.pair")
+        f = _load_scalar_field(p["f"], n)
+    A, B = young.parse_pair(p["pair"])
     rep = bogovskii.bogovskii_field(f, D)
     gmag = rep["gradient"].magnitude_field()
     nf = luxemburg_norm(rep["f"], A)
     grad_c = luxemburg_norm(gmag, B) / nf if nf > 0 else 0.0
     rearr = bogovskii.check_rearrangement_estimate(
-        rep["f"], rep["gradient"], float(p["rearr_c"]), n_s=n_s)
+        rep["f"], rep["gradient"], p["rearr_c"], n_s=p["n_s"])
     data = {"div_residual": rep["div_residual"],
             "grad_norm_C": grad_c,
             "modular_C": bogovskii.check_modular_bound(rep, A, B),
@@ -434,18 +499,14 @@ def _drive_bogovskii_run(p, out):
 
 
 def _drive_negnorm_field(p, out):
-    if not p["pair"]:
-        raise UsageError("params.pair is required (--pair on the "
-                         "command line)")
-    u = _load_scalar_field(p["u"], _count(p["n"], "params.n"), "params.u")
-    depth = _count(p["depth"], "params.depth")
-    A, B = _parse_pair_flag(p["pair"], "params.pair")
+    u = _load_scalar_field(p["u"], p["n"])
+    A, B = young.parse_pair(p["pair"])
     cent = u.centroids
     active = u.measures > 0
     half = 0.5 * math.sqrt(float(np.median(u.measures[active])))
     lo = cent[active].min(axis=0) - half
     hi = cent[active].max(axis=0) + half
-    fam = negnorm.TestFamily.bubbles(tuple(lo), tuple(hi), depth=depth)
+    fam = negnorm.TestFamily.bubbles(tuple(lo), tuple(hi), depth=p["depth"])
     rep = negnorm.two_sided_check(u, A, B, fam)
     data = {"lower": rep["lower"], "upper": rep["upper"],
             "r_low": rep["r_low"], "r_high": rep["r_high"],
@@ -458,16 +519,13 @@ def _drive_negnorm_field(p, out):
 
 
 def _drive_fem_infsup(p, out):
-    _check_fem_settings(p, "params.")
-    meshes = _meshes_from_spec(p["mesh"], "params.mesh")
-    A, B = _parse_pair_flag(p["pair"], "params.pair")
+    A, B = young.parse_pair(p["pair"])
     rows = []
     values = []
     any_def = False
-    for h, tri in meshes:
-        V = fem.FESpacePair(tri, k=int(p["k"]), m=int(p["m"]))
+    for h, V in _spaces(p):
         rep = fem.compute_infsup(V, A, B, method=p["method"],
-                                 seed=int(p["seed"]))
+                                 seed=p["seed"])
         rows.append((h, rep["value"], rep["method"], rep["converged"],
                      rep["rank_deficient"], rep["n_velocity"],
                      rep["n_pressure"]))
@@ -483,16 +541,10 @@ def _drive_fem_infsup(p, out):
 
 
 def _drive_fem_pressure(p, out):
-    _check_fem_settings(p, "params.")
-    A, B = _parse_pair_flag(p["pair"], "params.pair")
+    A, B = young.parse_pair(p["pair"])
     if p["law"] is None:
-        spec = str(p["mesh"])
-        if not spec.startswith("square:"):
-            raise UsageError("params.mesh: the pressure study needs "
-                             "square:H[,H...]")
-        hs = _square_pitches(spec, "params.mesh")
-        pi = _pi_expr(p["pi"], "params.pi")
-        rows = fem.pressure_error_study(pi, hs, A, B)
+        hs = [h for h, _, _ in _mesh_plan(p["mesh"])]
+        rows = fem.pressure_error_study(_pi_expr(p["pi"]), hs, A, B)
         table = [(r["h"], r["error"], r["best"], r["ratio"],
                   r["stability"], r["residual"]) for r in rows]
         ratios = [r["ratio"] for r in rows]
@@ -502,7 +554,7 @@ def _drive_fem_pressure(p, out):
         return {"data": data, "assertions": [],
                 "tables": {"study": (["h", "error", "best", "ratio",
                                       "stability", "residual"], table)}}
-    law = _parse_law(p["law"], "params.law")
+    law = _parse_law(p["law"])
 
     def H(pts):
         g = _vortex_grad(pts)
@@ -510,13 +562,12 @@ def _drive_fem_pressure(p, out):
         return fem.stress_eval(law, eps)
 
     rows = []
-    for h, tri in _meshes_from_spec(p["mesh"], "params.mesh"):
-        V = fem.FESpacePair(tri, k=int(p["k"]), m=int(p["m"]))
+    for h, V in _spaces(p):
         system = fem.assemble_pressure_system(H, V)
         rec = fem.reconstruct_pressure(system, mode="least_squares")
         pnorm = luxemburg_norm(V.pressure_field(rec["values"]), B)
         rows.append((h, rec["residual"], pnorm))
-    data = {"mode": "stress", "law": str(p["law"]),
+    data = {"mode": "stress", "law": p["law"],
             "residuals": [r[1] for r in rows]}
     return {"data": data, "assertions": [],
             "tables": {"stress": (["h", "residual", "pressure_norm"],
@@ -524,12 +575,10 @@ def _drive_fem_pressure(p, out):
 
 
 def _drive_fem_projection(p, out):
-    _check_fem_settings(p, "params.")
-    A, _ = _parse_pair_flag(p["pair"], "params.pair")
+    A, _ = young.parse_pair(p["pair"])
     rows = []
     assertions = []
-    for h, tri in _meshes_from_spec(p["mesh"], "params.mesh"):
-        V = fem.FESpacePair(tri, k=int(p["k"]), m=int(p["m"]))
+    for h, V in _spaces(p):
         rep = fem.projection_apply(_vortex, V)
         local = fem.check_local_stability(_vortex, _vortex_grad, V,
                                           rep["coeffs"])
@@ -552,19 +601,17 @@ def _drive_fem_projection(p, out):
 # -- suite drivers ------------------------------------------------------------
 
 def _drive_young_calculus(p, out):
-    n_inv, n_sand = (_count(p[f], "params." + f)
-                     for f in ("n_points", "n_sandwich"))
-    s_inv = np.geomspace(1e-6, 1e6, n_inv)
-    s_sand = np.geomspace(1e-6, 1e6, n_sand)
+    s_inv = np.geomspace(1e-6, 1e6, p["n_points"])
+    s_sand = np.geomspace(1e-6, 1e6, p["n_sandwich"])
     rows = []
     assertions = []
     for literal in p["families"]:
-        A = _parse_young_flag(literal, "params.families")
+        A = young.parse_young(literal)
         rel = _involution_rel(A, s_inv)
         lo, hi = _sandwich_ratios(A, s_sand)
         rows.append((literal, rel, lo, hi))
         assertions.append(_check("involution %s" % literal,
-                                 rel <= float(p["rtol"]), rel, p["rtol"]))
+                                 rel <= p["rtol"], rel, p["rtol"]))
         assertions.append(_check(
             "inverse sandwich %s" % literal,
             lo >= 1 - 1e-9 and hi <= 2 + 2e-9, [lo, hi], [1.0, 2.0]))
@@ -578,17 +625,13 @@ def _drive_young_calculus(p, out):
 def _drive_balance_matrix(p, out):
     rows = []
     assertions = []
-    have_expectation = False
-    for entry in p["pairs"]:
-        literal, expected = (entry if isinstance(entry, (list, tuple))
-                             else (entry, None))
-        A, B = _parse_pair_flag(literal, "params.pairs")
+    for literal, expected in p["pairs"]:
+        A, B = young.parse_pair(literal)
         rep = young.check_balance(A, B)
         rows.append((literal, rep.admissible, expected, rep.c_11,
                      rep.c_12, rep.t0))
         if expected is not None:
-            have_expectation = True
-            ok = rep.admissible == bool(expected)
+            ok = rep.admissible == expected
             if expected:
                 ok = ok and math.isfinite(rep.c_11) \
                     and math.isfinite(rep.c_12) and math.isfinite(rep.t0)
@@ -598,7 +641,7 @@ def _drive_balance_matrix(p, out):
                 ok, rep.admissible, expected))
     data = {"matrix": [{"pair": r[0], "admissible": r[1], "c_11": r[3],
                         "c_12": r[4], "t0": r[5]} for r in rows]}
-    if not have_expectation and rows:
+    if not assertions:
         # single-pair report mode: no classification expectations given
         data["report"] = data["matrix"][0]
     return {"data": data, "assertions": assertions,
@@ -607,15 +650,13 @@ def _drive_balance_matrix(p, out):
 
 
 def _drive_norm_machinery(p, out):
-    n_fields, n_chi, n_hardy = (_count(p[f], "params." + f)
-                                for f in ("n_fields", "n_chi", "n_hardy"))
-    rng = np.random.default_rng(int(p["seed"]))
+    rng = np.random.default_rng(p["seed"])
     fams = [young.power(1.5), young.power(4.0), young.zygmund(1, 1),
             young.exponential(1.0)]
     labels = ["power:1.5", "power:4", "zygmund:1:1", "exp:1"]
 
     worst_inv = 0.0
-    for _ in range(n_fields):
+    for _ in range(p["n_fields"]):
         u = _random_square_field(rng, int(rng.integers(2, 9)),
                                  rng.uniform(0.05, 20))
         star = rearrange(u)
@@ -627,7 +668,7 @@ def _drive_norm_machinery(p, out):
     worst_chi = 0.0
     n = 8
     for A in fams:
-        for _ in range(n_chi):
+        for _ in range(p["n_chi"]):
             c = rng.uniform(0.2, 8.0)
             k = int(rng.integers(1, n * n))
             vals = np.zeros(n * n)
@@ -638,7 +679,7 @@ def _drive_norm_machinery(p, out):
             worst_chi = max(worst_chi, abs(got - want) / want)
 
     worst_hardy = 0.0
-    for _ in range(n_hardy):
+    for _ in range(p["n_hardy"]):
         m = int(rng.integers(1, 12))
         w = rng.uniform(0.01, 1.0, size=m)
         v = np.sort(rng.uniform(0, 5.0, size=m))[::-1]
@@ -676,33 +717,28 @@ def _random_disk_density(rng):
 
 
 def _drive_bogovskii_disk(p, out):
-    grids = [_count(g, "params.grids", least=2) for g in p["grids"]]
-    stability_grid = _count(p["stability_grid"], "params.stability_grid",
-                            least=2)
-    n_random = _count(p["n_random"], "params.n_random")
     D = bogovskii.StarDomain.disk()
     kink = _expressions()["kink"]
     assertions = []
 
     res_rows = []
-    for grid, bound in zip(grids, p["residual_bounds"]):
+    for grid, bound in zip(p["grids"], p["residual_bounds"]):
         rep = bogovskii.bogovskii_field(
             bogovskii.grid_field(D, kink, grid), D)
-        res_rows.append((grid, rep["div_residual"], float(bound)))
+        res_rows.append((grid, rep["div_residual"], bound))
         assertions.append(_check(
             "divergence residual at %d^2" % grid,
-            rep["div_residual"] < float(bound),
-            rep["div_residual"], bound))
+            rep["div_residual"] < bound, rep["div_residual"], bound))
 
-    rng = np.random.default_rng(int(p["seed"]))
+    rng = np.random.default_rng(p["seed"])
     reports = []
-    for _ in range(n_random):
+    for _ in range(p["n_random"]):
         f = bogovskii.grid_field(D, _random_disk_density(rng),
-                                 stability_grid)
+                                 p["stability_grid"])
         reports.append(bogovskii.bogovskii_field(f, D))
     stab_rows = []
     for literal in p["pairs"]:
-        A, B = _parse_pair_flag(literal, "params.pairs")
+        A, B = young.parse_pair(literal)
         cs = [luxemburg_norm(r["gradient"].magnitude_field(), B)
               / luxemburg_norm(r["f"], A) for r in reports]
         mid = sum(cs) / len(cs)
@@ -712,10 +748,10 @@ def _drive_bogovskii_disk(p, out):
             all(abs(c - mid) <= 0.25 * mid for c in cs),
             max(abs(c - mid) / mid for c in cs), 0.25))
 
-    C = float(p["rearr_c"])
+    C = p["rearr_c"]
     for rep in reports:
         r = bogovskii.check_rearrangement_estimate(
-            rep["f"], rep["gradient"], C, n_s=int(p["n_s"]))
+            rep["f"], rep["gradient"], C, n_s=p["n_s"])
         if not r["ok"]:
             assertions.append(_check("rearrangement calibration", False,
                                      r["least_C"], C))
@@ -727,9 +763,9 @@ def _drive_bogovskii_disk(p, out):
     held_rows = []
     for name, fn in held:
         rep = bogovskii.bogovskii_field(
-            bogovskii.grid_field(D, fn, stability_grid), D)
+            bogovskii.grid_field(D, fn, p["stability_grid"]), D)
         r = bogovskii.check_rearrangement_estimate(
-            rep["f"], rep["gradient"], C, n_s=int(p["n_s"]))
+            rep["f"], rep["gradient"], C, n_s=p["n_s"])
         held_rows.append((name, r["least_C"], r["ok"]))
         assertions.append(_check(
             "rearrangement estimate on held-out %s" % name,
@@ -748,9 +784,7 @@ def _drive_domain_split(p, out):
     R1 = bogovskii.StarDomain.rectangle((0.0, 0.0), (1.0, 0.5))
     R2 = bogovskii.StarDomain.rectangle((0.0, 0.25), (0.5, 1.0))
     dec = bogovskii.DomainDecomposition([R1, R2])
-    # a single cell, centred on the boundary at (0.5, 0.5), samples the
-    # domain with zero measure
-    n = _count(p["n"], "params.n", least=2)
+    n = p["n"]
     f = bogovskii.grid_field(dec, lambda X, Y: X, n, bbox=((0, 0), (1, 1)))
     pieces = bogovskii.split_function(f, dec)
     active = f.measures > 0
@@ -781,28 +815,24 @@ def _drive_domain_split(p, out):
 
 
 def _drive_negative_norm(p, out):
-    n = _count(p["n"], "params.n", least=2)  # pairings need two cells a side
-    # the enrichment check compares two levels
-    depth = _count(p["depth"], "params.depth", least=2)
-    k = _count(p["k"], "params.k")
-    fam = negnorm.TestFamily.bubbles((0.0, 0.0), (1.0, 1.0), depth=depth)
-    depths = range(1, depth + 1)
+    n = p["n"]
+    fam = negnorm.TestFamily.bubbles((0.0, 0.0), (1.0, 1.0),
+                                     depth=p["depth"])
+    depths = range(1, p["depth"] + 1)
     prefix = {d: sum(m.scale < d for m in fam.members) for d in depths}
-    corpus = [(name, _square_field(name, n))
-              for name in ("step_x", "step_y", "sine", "ramp", "poly",
-                           "trig", "gauss", "crease", "bulge", "checker")]
+    corpus = [(name, _square_field(name, n)) for name in _corpus()]
     assertions = []
 
     ones = SampledField.from_grid(np.ones((n, n)), 1.0 / n)
     const_worst = 0.0
     for literal in p["pairs"]:
-        A, _ = _parse_pair_flag(literal, "params.pairs")
+        A, _ = young.parse_pair(literal)
         lower, _ = negnorm.neg_norm_lower(ones, A, fam)
         const_worst = max(const_worst, lower)
     assertions.append(_check("constants score zero", const_worst == 0.0,
                              const_worst, 0.0))
 
-    A2, _ = _parse_pair_flag(p["pairs"][0], "params.pairs")
+    A2, _ = young.parse_pair(p["pairs"][0])
     ratios0 = negnorm.member_ratios(corpus[0][1], A2, fam)
     lows = [float(np.max(ratios0[:prefix[d]])) for d in depths]
     h = 1.0 / n
@@ -819,7 +849,7 @@ def _drive_negative_norm(p, out):
 
     band_rows = []
     for literal in p["pairs"]:
-        A, B = _parse_pair_flag(literal, "params.pairs")
+        A, B = young.parse_pair(literal)
         per_depth = {d: [] for d in depths}
         certified = True
         for name, u in corpus:
@@ -844,7 +874,7 @@ def _drive_negative_norm(p, out):
     sup_rows = []
     for literal, A in (("power:2", young.power(2.0)),
                        ("zygmund:1:1", young.zygmund(1.0, 1.0))):
-        rep = negnorm.sup_approx_convergence(v, A, K=k)
+        rep = negnorm.sup_approx_convergence(v, A, K=p["k"])
         final = rep["steps"][-1]
         gap = abs(final["norm"] - rep["target"]) / rep["target"]
         sup_rows.extend((literal, row["k"], row["norm"], rep["target"])
@@ -861,18 +891,13 @@ def _drive_negative_norm(p, out):
 
 
 def _drive_fem_suite(p, out):
-    if not isinstance(p["hs"], list) or not p["hs"]:
-        raise UsageError("params.hs: expected a non-empty list of mesh "
-                         "pitches, got %r" % (p["hs"],))
-    hs = [_parse_h(str(h), "params.hs") for h in p["hs"]]
-    n_fields = _count(p["n_fields"], "params.n_fields")
-    seed = int(p["seed"])
+    hs = p["hs"]
     spaces_by_h = {h: fem.FESpacePair(fem.triangulate(_SQUARE, h), k=2)
                    for h in hs}
     assertions = []
 
     V0 = spaces_by_h[hs[0]]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(p["seed"])
     vals = rng.standard_normal(V0.tri.n_simplices)
     areas = V0.tri.areas()
     vals -= np.dot(vals, areas) / areas.sum()
@@ -919,7 +944,7 @@ def _drive_fem_suite(p, out):
 
     rng = np.random.default_rng(7)
     worst_defect = 0.0
-    for _ in range(n_fields):
+    for _ in range(p["n_fields"]):
         c = rng.standard_normal(12) * 0.8
 
         def u(pts, c=c):
@@ -952,11 +977,7 @@ def _drive_fem_suite(p, out):
                              "interpolant", worst_ratio <= 1.5,
                              worst_ratio, 1.5))
 
-    def pi(pts):
-        return (np.sin(2 * math.pi * pts[:, 0])
-                * np.sin(2 * math.pi * pts[:, 1]))
-
-    rows = fem.pressure_error_study(pi, hs, p2, p2)
+    rows = fem.pressure_error_study(_pi_expr("sinsin"), hs, p2, p2)
     ratios = [r["ratio"] for r in rows]
     rmid = sum(ratios) / len(ratios)
     assertions.append(_check("pressure error ratio within 30% of its "
@@ -974,121 +995,151 @@ def _drive_fem_suite(p, out):
 
 
 def _drive_determinism(p, out):
-    inner = p["inner"]
-    if not isinstance(inner, dict) or "experiment" not in inner:
-        raise UsageError("params.inner must be a config object with an "
-                         "'experiment' key")
-    if inner["experiment"] not in EXPERIMENTS:
-        raise UsageError("params.inner: unknown experiment %r"
-                         % inner["experiment"])
-    # a single run compares nothing
-    runs = _count(p["runs"], "params.runs", least=2)
     listings = []
-    for r in range(runs):
+    for r in range(p["runs"]):
         sub = out / ("pass%d" % (r + 1))
         sub.mkdir(parents=True, exist_ok=True)
-        cfg = dict(inner)
+        cfg = dict(p["inner"])
         cfg.pop("out", None)
         _run_one(cfg, out_flag=str(sub), quiet=True)
         listings.append({f.name: f.read_bytes()
                          for f in sorted(sub.iterdir()) if f.is_file()})
     same = all(listing == listings[0] for listing in listings[1:])
     names = sorted(listings[0])
-    return {"data": {"files": names, "runs": runs},
+    return {"data": {"files": names, "runs": p["runs"]},
             "assertions": [_check("outputs byte-identical across runs",
                                   same, names, None)]}
 
 
+# The finite-element settings shared by the fem_* experiments: velocity
+# degree 1 or 2, and piecewise-constant pressure, the only one shipped.
+_FE_PARAMS = {"mesh": ("square:1/4,1/8,1/16", _mesh),
+              "pair": ("power:2:power:2", _pair),
+              "k": (2, _choice(1, 2)), "m": (0, _choice(0))}
+
+# experiment -> driver, params {field: (default, check)} and rules
+# [(field, holds(checked params), why)] that tie fields together.  A
+# default of None with a check that refuses None marks a field the
+# direct command always sets.
 EXPERIMENTS = {
     "young_doc": {
         "driver": _drive_young_doc,
-        "params": {"young": "power:2", "grid": [1e-3, 1e3, 61]},
+        "params": {"young": ("power:2", _parsed(
+                       _load_young, "a family literal or a JSON file")),
+                   "grid": ([1e-3, 1e3, 61], _sample_grid)},
     },
     "norm_file": {
         "driver": _drive_norm_file,
-        "params": {"field": None, "young": "power:2", "n": 64,
-                   "rearrange": False},
+        "params": {"field": (None, _field),
+                   "young": ("power:2", _young), "n": (64, _count()),
+                   "rearrange": (False, _bool)},
     },
     "bogovskii_run": {
         "driver": _drive_bogovskii_run,
-        "params": {"domain": "disk", "f": "kink", "grid": 64,
-                   "pair": "power:2:power:2",
-                   "rearr_c": 2.5, "n_s": 100},
+        # the finite-difference gradient needs two cells per axis
+        "params": {"domain": ("disk", _parsed(
+                       _load_domain, "disk, disk:R or a polygon .json file")),
+                   "f": ("kink", _field), "grid": (64, _count(2)),
+                   "pair": ("power:2:power:2", _pair),
+                   "rearr_c": (2.5, _positive), "n_s": (100, _count())},
     },
     "negnorm_field": {
         "driver": _drive_negnorm_field,
-        "params": {"u": "step_x", "pair": None, "depth": 3, "n": 64},
+        "params": {"u": ("step_x", _field), "pair": (None, _pair),
+                   "depth": (3, _count()), "n": (64, _count())},
     },
     "fem_infsup": {
         "driver": _drive_fem_infsup,
-        "params": {"mesh": "square:1/4,1/8,1/16",
-                   "pair": "power:2:power:2", "k": 2, "m": 0,
-                   "method": "auto", "seed": 0},
+        "params": dict(_FE_PARAMS,
+                       method=("auto", _choice("auto", "eigen", "ascent")),
+                       seed=(0, _count(0))),
+        "rules": [("method", lambda q: q["method"] != "eigen" or all(
+            map(fem._is_plain_quadratic, young.parse_pair(q["pair"]))),
+            "eigen needs the quadratic pair power:2:power:2")],
     },
     "fem_pressure": {
         "driver": _drive_fem_pressure,
-        "params": {"mesh": "square:1/4,1/8,1/16",
-                   "pair": "power:2:power:2", "k": 2, "m": 0,
-                   "law": None, "pi": "sinsin"},
+        "params": dict(_FE_PARAMS,
+                       law=(None, lambda v, name: v if v is None
+                            else _law(v, name)),
+                       pi=("sinsin", _choice("sinsin", *_expressions()))),
+        "rules": [("mesh", lambda q: q["law"] is not None
+                   or q["mesh"].startswith("square:"),
+                   "the pressure study needs square:H[,H...]")],
     },
     "fem_projection": {
         "driver": _drive_fem_projection,
-        "params": {"mesh": "square:1/4,1/8,1/16",
-                   "pair": "power:2:power:2", "k": 2, "m": 0},
+        "params": _FE_PARAMS,
     },
     "young_calculus": {
         "driver": _drive_young_calculus,
-        "params": {"families": ["power:2", "power:1.5", "zygmund:1:1",
-                                "exp:1", "eyring"],
-                   "n_points": 100, "n_sandwich": 50, "rtol": 1e-6},
+        "params": {"families": (["power:2", "power:1.5", "zygmund:1:1",
+                                 "exp:1", "eyring"], _list_of(_young)),
+                   "n_points": (100, _count()), "n_sandwich": (50, _count()),
+                   "rtol": (1e-6, _positive)},
     },
     "balance_matrix": {
         "driver": _drive_balance_matrix,
-        "params": {"pairs": [["power:1.5:power:1.5", True],
-                             ["power:2:power:2", True],
-                             ["power:4:power:4", True],
-                             ["zygmund:1:1:zygmund:1:0", True],
-                             ["zygmund:1:2:zygmund:1:1", True],
-                             ["exp:0.5:exp:0.3333333333333333", True],
-                             ["exp:1:exp:0.5", True],
-                             ["power:1:power:1", False],
-                             ["cap:1:cap:1", False]]},
+        "params": {"pairs": ([["power:1.5:power:1.5", True],
+                              ["power:2:power:2", True],
+                              ["power:4:power:4", True],
+                              ["zygmund:1:1:zygmund:1:0", True],
+                              ["zygmund:1:2:zygmund:1:1", True],
+                              ["exp:0.5:exp:0.3333333333333333", True],
+                              ["exp:1:exp:0.5", True],
+                              ["power:1:power:1", False],
+                              ["cap:1:cap:1", False]],
+                             _list_of(_balance_entry))},
     },
     "norm_machinery": {
         "driver": _drive_norm_machinery,
-        "params": {"n_fields": 100, "n_chi": 20, "n_hardy": 200,
-                   "seed": 2024},
+        "params": {"n_fields": (100, _count()), "n_chi": (20, _count()),
+                   "n_hardy": (200, _count()), "seed": (2024, _count(0))},
     },
     "bogovskii_disk": {
         "driver": _drive_bogovskii_disk,
-        "params": {"grids": [64, 128], "residual_bounds": [0.05, 0.025],
-                   "stability_grid": 32, "n_random": 5,
-                   "pairs": ["power:2:power:2", "zygmund:1:1:power:1"],
-                   "rearr_c": 2.5, "n_s": 100, "seed": 7},
+        # the finite-difference gradient needs two cells per axis
+        "params": {"grids": ([64, 128], _list_of(_count(2))),
+                   "residual_bounds": ([0.05, 0.025], _list_of(_positive)),
+                   "stability_grid": (32, _count(2)),
+                   "n_random": (5, _count()),
+                   "pairs": (["power:2:power:2", "zygmund:1:1:power:1"],
+                             _list_of(_pair)),
+                   "rearr_c": (2.5, _positive), "n_s": (100, _count()),
+                   "seed": (7, _count(0))},
+        "rules": [("residual_bounds",
+                   lambda q: len(q["residual_bounds"]) >= len(q["grids"]),
+                   "needs a bound for each of params.grids")],
     },
     "domain_split": {
         "driver": _drive_domain_split,
-        "params": {"n": 32},
+        # one cell, centred on the boundary at (0.5, 0.5), samples the
+        # domain with zero measure
+        "params": {"n": (32, _count(2))},
     },
     "negative_norm": {
         "driver": _drive_negative_norm,
-        "params": {"depth": 3, "n": 64, "k": 32,
-                   "pairs": ["power:2:power:2", "zygmund:1:1:power:1",
-                             "exp:1:exp:0.5"]},
+        # pairings need two cells a side; the enrichment check compares
+        # two levels
+        "params": {"depth": (3, _count(2)), "n": (64, _count(2)),
+                   "k": (32, _count()),
+                   "pairs": (["power:2:power:2", "zygmund:1:1:power:1",
+                              "exp:1:exp:0.5"], _list_of(_pair))},
     },
     "fem_suite": {
         "driver": _drive_fem_suite,
-        "params": {"hs": [0.25, 0.125, 0.0625], "seed": 0,
-                   "n_fields": 20},
+        "params": {"hs": ([0.25, 0.125, 0.0625], _list_of(_positive)),
+                   "seed": (0, _count(0)), "n_fields": (20, _count())},
     },
     "determinism": {
         "driver": _drive_determinism,
-        "params": {"inner": {"schema": 1, "experiment": "fem_infsup",
-                             "id": "probe",
-                             "params": {"mesh": "square:1/4,1/8",
-                                        "pair": "power:2:power:2",
-                                        "seed": 0}},
-                   "runs": 2},
+        # a single run compares nothing
+        "params": {"inner": ({"schema": 1, "experiment": "fem_infsup",
+                              "id": "probe",
+                              "params": {"mesh": "square:1/4,1/8",
+                                         "pair": "power:2:power:2",
+                                         "seed": 0}}, _inner_config),
+                   "runs": (2, _count(2))},
     },
 }
 
@@ -1101,6 +1152,23 @@ _TOP_KEYS = {"schema", "experiment", "id", "seed", "out", "params"}
 
 # -- config handling ---------------------------------------------------------
 
+def _check_config(cfg, where):
+    if not isinstance(cfg, dict):
+        raise UsageError("%s: config must be a JSON object" % where)
+    for key in sorted(cfg):
+        if key not in _TOP_KEYS:
+            raise UsageError("%s: unknown key %r (allowed: %s)"
+                             % (where, key, ", ".join(sorted(_TOP_KEYS))))
+    if cfg.get("schema") != SCHEMA:
+        raise UsageError("%s: schema must be %d" % (where, SCHEMA))
+    if cfg.get("experiment") not in EXPERIMENTS:
+        raise UsageError("%s: experiment must be one of %s"
+                         % (where, ", ".join(sorted(EXPERIMENTS))))
+    if "params" in cfg and not isinstance(cfg["params"], dict):
+        raise UsageError("%s: params must be an object" % where)
+    return cfg
+
+
 def _load_config(path):
     try:
         text = Path(path).read_text()
@@ -1111,65 +1179,44 @@ def _load_config(path):
     except json.JSONDecodeError as exc:
         raise UsageError("%s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
-    if not isinstance(cfg, dict):
-        raise UsageError("%s: config must be a JSON object" % path)
-    for key in sorted(cfg):
-        if key not in _TOP_KEYS:
-            raise UsageError("%s: unknown key %r (allowed: %s)"
-                             % (path, key, ", ".join(sorted(_TOP_KEYS))))
-    if cfg.get("schema") != SCHEMA:
-        raise UsageError("%s: schema must be %d" % (path, SCHEMA))
-    if cfg.get("experiment") not in EXPERIMENTS:
-        raise UsageError("%s: experiment must be one of %s"
-                         % (path, ", ".join(sorted(EXPERIMENTS))))
-    if "params" in cfg and not isinstance(cfg["params"], dict):
-        raise UsageError("%s: params must be an object" % path)
-    return cfg
+    return _check_config(cfg, path)
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
+    """Apply run's flags to cfg; return {param: flag} for each param a
+    flag set, so that a bad value is reported under its flag."""
+    flags = {}
+
+    def put(key, value, flag):
+        cfg.setdefault("params", {})[key] = value
+        flags[key] = flag
+
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "id", None):
+        flags["seed"] = "--seed"
+    if args.id:
         cfg["id"] = args.id
-    p = cfg.setdefault("params", {})
     exp = cfg["experiment"]
-    if getattr(args, "pair", None):
-        _parse_pair_flag(args.pair, "--pair")
-        if exp == "balance_matrix":
-            p["pairs"] = [[args.pair, None]]
-        elif exp == "negative_norm":
-            p["pairs"] = [args.pair]
-        elif exp == "bogovskii_disk":
-            p["pairs"] = [args.pair]
-        else:
-            p["pair"] = args.pair
-    if getattr(args, "mesh", None):
-        if not exp.startswith("fem_"):
-            raise UsageError("--mesh does not apply to experiment %r"
-                             % exp)
-        if args.mesh.startswith("square:"):
-            _square_pitches(args.mesh, "--mesh")
-        p["mesh"] = args.mesh
-    if getattr(args, "grid", None) is not None:
-        _count(args.grid, "--grid")
-        if exp == "bogovskii_disk":
-            p["grids"] = [args.grid]
-        elif exp in ("bogovskii_run",):
-            p["grid"] = args.grid
-        else:
-            p["n"] = args.grid
-    if getattr(args, "depth", None) is not None:
-        p["depth"] = _count(args.depth, "--depth")
-    for kv in getattr(args, "set", None) or []:
+    schema = EXPERIMENTS[exp]["params"]
+    if args.pair and "pairs" in schema:
+        put("pairs", [[args.pair, None] if exp == "balance_matrix"
+                      else args.pair], "--pair")
+    elif args.pair:
+        put("pair", args.pair, "--pair")
+    if args.mesh:
+        put("mesh", args.mesh, "--mesh")
+    if args.grid is not None and "grids" in schema:
+        put("grids", [args.grid], "--grid")
+    elif args.grid is not None:
+        put("grid" if exp == "bogovskii_run" else "n", args.grid, "--grid")
+    if args.depth is not None:
+        put("depth", args.depth, "--depth")
+    for kv in args.set or []:
         if "=" not in kv:
             raise UsageError("--set: expected KEY=VALUE, got %r" % kv)
         key, _, raw = kv.partition("=")
-        try:
-            p[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            p[key] = raw
-    return cfg
+        put(key, _json_or_text(raw), "--set")
+    return flags
 
 
 def _suite_worker(path, out_flag=None):
@@ -1184,88 +1231,49 @@ def _suite_worker(path, out_flag=None):
 
 # -- subcommand entry points ---------------------------------------------------
 
-def cmd_young(args):
-    cfg = {"schema": SCHEMA, "experiment": "young_doc",
-           "params": {"young": args.young}}
-    if args.grid:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise UsageError("--grid: expected MIN:MAX:POINTS")
-        cfg["params"]["grid"] = [float(parts[0]), float(parts[1]),
-                                 int(parts[2])]
-    if args.id:
-        cfg["id"] = args.id
-    if not Path(args.young).exists():
-        _parse_young_flag(args.young, "--young")
-    return _run_one(cfg, out_flag=args.out)
+# subcommand -> (experiment, {argparse dest: param} where the two names
+# differ).  Every flag given sets the param of its name, when the
+# experiment has one; fem takes its experiment from the verb.
+_DIRECT = {
+    "young": ("young_doc", {}),
+    "norm": ("norm_file", {"grid": "n"}),
+    "bogovskii": ("bogovskii_run", {}),
+    "negnorm": ("negnorm_field", {"family_depth": "depth", "grid": "n"}),
+    "fem": (None, {}),
+}
 
 
-def cmd_norm(args):
-    _count(args.grid, "--grid")
-    cfg = {"schema": SCHEMA, "experiment": "norm_file",
-           "params": {"field": args.field, "young": args.young,
-                      "n": args.grid, "rearrange": args.rearrange}}
-    _parse_young_flag(args.young, "--young")
-    if args.id:
-        cfg["id"] = args.id
-    return _run_one(cfg, out_flag=args.out)
-
-
-def cmd_bogovskii(args):
-    _parse_pair_flag(args.pair, "--pair")
-    _count(args.grid, "--grid", least=2)
-    cfg = {"schema": SCHEMA, "experiment": "bogovskii_run",
-           "params": {"domain": args.domain, "f": args.f,
-                      "grid": args.grid, "pair": args.pair,
-                      "rearr_c": args.rearr_c, "n_s": 100}}
-    if args.id:
-        cfg["id"] = args.id
-    return _run_one(cfg, out_flag=args.out)
-
-
-def cmd_negnorm(args):
-    _parse_pair_flag(args.pair, "--pair")
-    _count(args.family_depth, "--family-depth")
-    _count(args.grid, "--grid")
-    cfg = {"schema": SCHEMA, "experiment": "negnorm_field",
-           "params": {"u": args.u, "pair": args.pair,
-                      "depth": args.family_depth, "n": args.grid}}
-    if args.id:
-        cfg["id"] = args.id
-    return _run_one(cfg, out_flag=args.out)
-
-
-def cmd_fem(args):
-    _parse_pair_flag(args.pair, "--pair")
-    if args.mesh.startswith("square:"):
-        _square_pitches(args.mesh, "--mesh")
-    exp = "fem_" + args.verb
-    params = {"mesh": args.mesh, "pair": args.pair, "k": args.k,
-              "m": args.m}
-    if args.verb == "infsup":
-        params["method"] = args.method
-        params["seed"] = args.seed
-    if args.verb == "pressure":
-        params["law"] = args.law
-        params["pi"] = "sinsin"
-    _check_fem_settings(params, "--")
+def cmd_direct(args):
+    exp, renamed = _DIRECT[args.command]
+    exp = exp or "fem_" + args.verb
+    params, flags = {}, {}
+    for dest, value in vars(args).items():
+        key = renamed.get(dest, dest)
+        if key in EXPERIMENTS[exp]["params"] and value is not None:
+            params[key] = value
+            flags[key] = "--" + dest.replace("_", "-")
     cfg = {"schema": SCHEMA, "experiment": exp, "params": params}
     if args.id:
         cfg["id"] = args.id
-    return _run_one(cfg, out_flag=args.out)
+    return _run_one(cfg, out_flag=args.out, flags=flags)
 
 
 def cmd_run(args):
     if args.suite:
+        # each config of a suite carries its own settings
+        for dest in ("set", "pair", "mesh", "grid", "depth", "seed", "id"):
+            if getattr(args, dest) is not None:
+                raise UsageError("--%s does not apply with --suite" % dest)
+        jobs = _count()(args.jobs, "--jobs")
         paths = sorted(Path(args.suite).glob("*.json"))
         if not paths:
             raise UsageError("--suite: no .json configs under %r"
                              % args.suite)
-        if args.jobs > 1:
+        if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             from functools import partial
             worker = partial(_suite_worker, out_flag=args.out)
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 codes = list(pool.map(worker, map(str, paths)))
         else:
             codes = [_suite_worker(str(path), args.out)
@@ -1279,26 +1287,24 @@ def cmd_run(args):
         raise UsageError("run needs a config file, an experiment name, "
                          "or --suite DIR")
     target = args.target
-    if target.endswith(".json") or Path(target).exists():
+    if target == "fem":
+        if args.verb not in ("infsup", "pressure", "projection"):
+            raise UsageError("run fem needs a verb: infsup, pressure or "
+                             "projection")
+        cfg = {"schema": SCHEMA, "experiment": "fem_" + args.verb}
+    elif args.verb:
+        raise UsageError("run: %r does not take a verb" % target)
+    elif target.endswith(".json") or Path(target).exists():
         cfg = _load_config(target)
-        if args.verb:
-            raise UsageError("run: %r does not take a verb" % target)
     else:
         name = _ALIASES.get(target, target)
-        if name == "fem" or target == "fem":
-            if args.verb not in ("infsup", "pressure", "projection"):
-                raise UsageError("run fem needs a verb: infsup, "
-                                 "pressure or projection")
-            name = "fem_" + args.verb
-        elif args.verb:
-            raise UsageError("run: %r does not take a verb" % target)
         if name not in EXPERIMENTS:
             raise UsageError(
                 "unknown experiment or config file %r (experiments: %s)"
                 % (target, ", ".join(sorted(_ALIASES)+["fem VERB"])))
         cfg = {"schema": SCHEMA, "experiment": name}
-    _apply_overrides(cfg, args)
-    return _run_one(cfg, out_flag=args.out)
+    flags = _apply_overrides(cfg, args)
+    return _run_one(cfg, out_flag=args.out, flags=flags)
 
 
 def build_parser():
@@ -1308,72 +1314,64 @@ def build_parser():
                     "reconstruction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, func):
         sp.add_argument("--out", default=None,
                         help="output directory (default: $%s or ./out)"
                         % _OUT_ENV)
         sp.add_argument("--id", default=None,
                         help="report id used in output file names")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("young", help="serialize and check one Young "
                                       "function")
     sp.add_argument("--young", required=True,
                     help="family literal (power:2, zygmund:1:1, exp:0.5, "
                          "eyring, cap:1) or a JSON file")
-    sp.add_argument("--grid", default=None, help="MIN:MAX:POINTS")
-    common(sp)
-    sp.set_defaults(func=cmd_young)
+    sp.add_argument("--grid", default=None, help="MIN:MAX:POINTS",
+                    type=lambda text: [_json_or_text(t)
+                                       for t in text.split(":")])
+    common(sp, cmd_direct)
 
     sp = sub.add_parser("norm", help="Luxemburg norm and rearrangement "
                                      "of a sampled field")
     sp.add_argument("--field", required=True,
                     help="expression name, .csv or .json field file")
     sp.add_argument("--young", required=True, help="family literal")
-    sp.add_argument("--grid", type=int, default=64,
+    sp.add_argument("--grid", type=int,
                     help="sampling resolution for expressions")
     sp.add_argument("--rearrange", action="store_true",
                     help="also write the decreasing rearrangement CSV")
-    common(sp)
-    sp.set_defaults(func=cmd_norm)
+    common(sp, cmd_direct)
 
     sp = sub.add_parser("bogovskii", help="solve the divergence equation "
                                           "and report the constants")
-    sp.add_argument("--domain", default="disk",
-                    help="disk, disk:R, or a polygon .json file")
-    sp.add_argument("--f", default="kink",
-                    help="expression name or .csv density")
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--pair", default="power:2:power:2")
-    sp.add_argument("--rearr-c", type=float, default=2.5, dest="rearr_c")
-    common(sp)
-    sp.set_defaults(func=cmd_bogovskii)
+    sp.add_argument("--domain", help="disk, disk:R, or a polygon .json file")
+    sp.add_argument("--f", help="expression name or .csv density")
+    sp.add_argument("--grid", type=int)
+    sp.add_argument("--pair")
+    sp.add_argument("--rearr-c", type=float, dest="rearr_c")
+    common(sp, cmd_direct)
 
     sp = sub.add_parser("negnorm", help="two-sided negative-norm check "
                                         "for one field")
     sp.add_argument("--u", required=True,
                     help="expression name or .csv field")
     sp.add_argument("--pair", required=True)
-    sp.add_argument("--family-depth", type=int, default=3,
-                    dest="family_depth")
-    sp.add_argument("--grid", type=int, default=64)
-    common(sp)
-    sp.set_defaults(func=cmd_negnorm)
+    sp.add_argument("--family-depth", type=int, dest="family_depth")
+    sp.add_argument("--grid", type=int)
+    common(sp, cmd_direct)
 
     sp = sub.add_parser("fem", help="inf-sup, pressure and interpolation "
                                     "experiments")
     sp.add_argument("verb", choices=["infsup", "pressure", "projection"])
-    sp.add_argument("--mesh", default="square:1/4,1/8,1/16",
-                    help="square:H[,H...] or a mesh .json file")
-    sp.add_argument("--pair", default="power:2:power:2")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--law", default=None,
-                    help="power:NU:KAPPA:P or eyring:NU:LAM")
-    sp.add_argument("--method", default="auto",
-                    choices=["auto", "eigen", "ascent"])
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_fem)
+    sp.add_argument("--mesh", help="square:H[,H...] or a mesh .json file")
+    sp.add_argument("--pair")
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--m", type=int)
+    sp.add_argument("--law", help="power:NU:KAPPA:P or eyring:NU:LAM")
+    sp.add_argument("--method", help="auto, eigen or ascent")
+    sp.add_argument("--seed", type=int)
+    common(sp, cmd_direct)
 
     sp = sub.add_parser("run", help="run a config file, a named "
                                     "experiment, or the whole suite")
@@ -1393,8 +1391,7 @@ def build_parser():
     sp.add_argument("--set", action="append", default=None,
                     metavar="KEY=VALUE",
                     help="override one experiment parameter")
-    common(sp)
-    sp.set_defaults(func=cmd_run)
+    common(sp, cmd_run)
 
     return parser
 

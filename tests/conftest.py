@@ -1,40 +1,21 @@
 """Shared fixtures: the negative-norm corpus and admissible pairs.
 
-The corpus is ten fixed scalar fields on the unit square.  They are
-deliberately non-symmetric: a field with an exact odd symmetry about
+The corpus is the ten fixed scalar fields of the command line's
+expression table (``cli._corpus()``), sampled on the unit square.  They
+are deliberately non-symmetric: a field with an exact odd symmetry about
 the center pairs to zero with every coarse test member, which is useful
 as a dedicated enrichment example but poisons corpus-wide ratio bands.
 """
 
-import math
-
-import numpy as np
 import pytest
 
-from orlicz import young
-from orlicz.spaces import SampledField
+from orlicz import cli, young
 
 CORPUS_N = 64
 
 
 def corpus_fields(n=CORPUS_N):
-    h = 1.0 / n
-    xs = (np.arange(n) + 0.5) * h
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    rows = [
-        ("step_x", np.sign(X - 0.5)),
-        ("step_y", np.sign(Y - 1.0 / 3.0)),
-        ("sine", np.sin(math.pi * (X - 0.15)) * np.sin(math.pi * (Y - 0.35))),
-        ("ramp", X + 2.0 * Y),
-        ("poly", X ** 2 - Y ** 3),
-        ("trig", np.cos(2 * math.pi * (X - 0.13))
-         * np.cos(math.pi * (Y - 0.29))),
-        ("gauss", np.exp(-20.0 * ((X - 0.4) ** 2 + (Y - 0.6) ** 2))),
-        ("crease", np.abs(X - 0.3 * Y - 0.55)),
-        ("bulge", 16.0 * X ** 2 * Y * (1 - X) * (1 - Y)),
-        ("checker", np.sign((X - 0.3) * (Y - 0.65))),
-    ]
-    return [(name, SampledField.from_grid(arr, h)) for name, arr in rows]
+    return [(name, cli._square_field(name, n)) for name in cli._corpus()]
 
 
 def admissible_pairs():

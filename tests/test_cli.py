@@ -7,16 +7,21 @@ with tight relative tolerances.
 """
 
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import corpus_fields
 
 from orlicz import cli, young
 from orlicz.spaces import SampledField, field_to_csv, luxemburg_norm
 
 INFSUP_H8 = 1.0153046023291719
+
+CONFIGS = str(Path(__file__).resolve().parent.parent / "configs")
 
 
 def run_cli(*argv):
@@ -149,6 +154,19 @@ def test_malformed_pair_names_flag(tmp_path, capsys):
      "--method"),
     (("run", "fem_infsup", "--pair", "zygmund:1:1:power:1",
       "--set", "method=eigen"), "params.method"),
+    (("young", "--young", "power:2", "--grid", "1:10:abc"), "--grid"),
+    (("young", "--young", "power:2", "--grid", "1:10:0"), "--grid"),
+    (("run", "bogovskii_run", "--grid", "8", "--set", "rearr_c=abc"),
+     "params.rearr_c"),
+    (("run", "--suite", CONFIGS, "--set", "n=abc"), "--set"),
+    (("run", "--suite", CONFIGS, "--pair", "nope"), "--pair"),
+    (("run", "--suite", CONFIGS, "--mesh", "square:1/4"), "--mesh"),
+    (("run", "--suite", CONFIGS, "--grid", "8"), "--grid"),
+    (("run", "--suite", CONFIGS, "--depth", "2"), "--depth"),
+    (("run", "--suite", CONFIGS, "--seed", "1"), "--seed"),
+    (("run", "--suite", CONFIGS, "--id", "x"), "--id"),
+    (("run", "--suite", CONFIGS, "--jobs", "-3"), "--jobs"),
+    (("run", "--suite", CONFIGS, "--jobs", "0"), "--jobs"),
 ])
 def test_out_of_range_count_flags_exit_2(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
@@ -197,6 +215,14 @@ def test_bad_disk_counts_name_field(tmp_path, capsys, setting, field):
     ("determinism", "runs=0", "params.runs"),
     ("determinism", "runs=1", "params.runs"),
     ("bogovskii_run", "n_s=abc", "params.n_s"),
+    ("young", "rtol=abc", "params.rtol"),
+    ("norm", "seed=abc", "params.seed"),
+    ("fem_suite", "seed=abc", "params.seed"),
+    ("negnorm", "pairs=[]", "params.pairs"),
+    ("young_doc", "grid=[1,10]", "params.grid"),
+    ("balance", "pairs=power:2:power:2", "--set (params.pairs)"),
+    ("bogovskii", "grids=[8,16,24]", "params.residual_bounds"),
+    ("bogovskii", "residual_bounds=[]", "params.residual_bounds"),
 ])
 def test_bad_counts_name_field(tmp_path, capsys, target, setting, field):
     # checked before any norm or mesh is computed
@@ -216,6 +242,48 @@ def test_bad_counts_name_field(tmp_path, capsys, target, setting, field):
 def test_nonpositive_mesh_pitch_exit_2(tmp_path, capsys, argv, field):
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert field in capsys.readouterr().err
+
+
+def test_defaults_and_shipped_configs_pass_their_schema():
+    # norm_file.field and negnorm_field.pair have no default: the direct
+    # commands always set them
+    required = {"norm_file": {"field": "sine"},
+                "negnorm_field": {"pair": "power:2:power:2"}}
+    for name in cli.EXPERIMENTS:
+        cli._checked_params({"experiment": name,
+                             "params": required.get(name, {})})
+    for path in sorted(Path(CONFIGS).glob("*.json")):
+        cli._checked_params(cli._load_config(path))
+
+
+def test_corpus_fields_match_their_formulas():
+    # the corpus and the fem_suite pressure come from the CLI's expression
+    # table; they are bit-identical to the formulas written out here
+    n = 64
+    h = 1.0 / n
+    xs = (np.arange(n) + 0.5) * h
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    want = [
+        ("step_x", np.sign(X - 0.5)),
+        ("step_y", np.sign(Y - 1.0 / 3.0)),
+        ("sine", np.sin(math.pi * (X - 0.15)) * np.sin(math.pi * (Y - 0.35))),
+        ("ramp", X + 2.0 * Y),
+        ("poly", X ** 2 - Y ** 3),
+        ("trig", np.cos(2 * math.pi * (X - 0.13))
+         * np.cos(math.pi * (Y - 0.29))),
+        ("gauss", np.exp(-20.0 * ((X - 0.4) ** 2 + (Y - 0.6) ** 2))),
+        ("crease", np.abs(X - 0.3 * Y - 0.55)),
+        ("bulge", 16.0 * X ** 2 * Y * (1 - X) * (1 - Y)),
+        ("checker", np.sign((X - 0.3) * (Y - 0.65))),
+    ]
+    got = corpus_fields(n)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (_, u), (_, arr) in zip(got, want):
+        assert np.array_equal(u.values, SampledField.from_grid(arr, h).values)
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    assert np.array_equal(cli._pi_expr("sinsin")(pts),
+                          np.sin(2 * math.pi * pts[:, 0])
+                          * np.sin(2 * math.pi * pts[:, 1]))
 
 
 def test_nonpositive_mesh_file_pitch_names_field(tmp_path, capsys):
