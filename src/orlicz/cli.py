@@ -915,6 +915,13 @@ def _drive_fem_suite(p, out):
         rep = fem.compute_infsup(spaces_by_h[h], p2, p2, method="eigen")
         infsup_rows.append((h, rep["value"]))
         values.append(rep["value"])
+    # the squared L2 constants against the square's corner bound
+    # beta^2 <= 1/2 - |sin w| / (2 w) at w = pi/2 (Costabel, Crouzeix,
+    # Dauge and Lafranche); reported, not asserted
+    lams = [(v / 2.0) ** 2 for v in values]
+    drops = [a - b for a, b in zip(lams, lams[1:])]
+    drop_ratios = [b / a for a, b in zip(drops, drops[1:])]
+    corner_gaps = [lam - (0.5 - 1.0 / math.pi) for lam in lams]
     mid = sum(values) / len(values)
     in_band = all(abs(v - mid) <= 0.2 * mid for v in values)
     assertions.append(_check("inf-sup constant within 20% of its mean",
@@ -924,7 +931,7 @@ def _drive_fem_suite(p, out):
     from scipy.linalg import cholesky, solve_triangular, svdvals
     # whiten by the Cholesky factor of G = kron(K, I2), one component at
     # a time: rows 2i + c of the pairing belong to component c of node i
-    Lk = cholesky(V0.scalar_stiffness(), lower=True)
+    Lk = cholesky(V0.scalar_stiffness().toarray(), lower=True)
     A = V0.A_matrix
     X = solve_triangular(Lk, A.reshape(V0.n_scalar, -1),
                          lower=True).reshape(A.shape)
@@ -986,7 +993,9 @@ def _drive_fem_suite(p, out):
     study_rows = [(r["h"], r["error"], r["best"], r["ratio"],
                    r["stability"], r["residual"]) for r in rows]
 
-    return {"data": {"infsup": values, "ratios": ratios},
+    return {"data": {"infsup": values, "ratios": ratios,
+                     "lambda_h": lams, "lambda_drop_ratios": drop_ratios,
+                     "corner_bound_gaps": corner_gaps},
             "assertions": assertions,
             "tables": {"infsup": (["h", "value"], infsup_rows),
                        "stability": (["family", "h", "ratio"], stab_rows),
@@ -1191,9 +1200,6 @@ def _apply_overrides(cfg, args):
         cfg.setdefault("params", {})[key] = value
         flags[key] = flag
 
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-        flags["seed"] = "--seed"
     if args.id:
         cfg["id"] = args.id
     exp = cfg["experiment"]
@@ -1216,6 +1222,11 @@ def _apply_overrides(cfg, args):
             raise UsageError("--set: expected KEY=VALUE, got %r" % kv)
         key, _, raw = kv.partition("=")
         put(key, _json_or_text(raw), "--set")
+    if args.seed is not None:
+        # the flag beats the config's seed and --set, and the schema
+        # names it when the experiment takes none
+        cfg.pop("seed", None)
+        put("seed", args.seed, "--seed")
     return flags
 
 
@@ -1232,8 +1243,9 @@ def _suite_worker(path, out_flag=None):
 # -- subcommand entry points ---------------------------------------------------
 
 # subcommand -> (experiment, {argparse dest: param} where the two names
-# differ).  Every flag given sets the param of its name, when the
-# experiment has one; fem takes its experiment from the verb.
+# differ).  Every flag given sets the param of its name, and the schema
+# names a flag whose experiment has no such param; fem takes its
+# experiment from the verb.
 _DIRECT = {
     "young": ("young_doc", {}),
     "norm": ("norm_file", {"grid": "n"}),
@@ -1248,10 +1260,12 @@ def cmd_direct(args):
     exp = exp or "fem_" + args.verb
     params, flags = {}, {}
     for dest, value in vars(args).items():
+        if dest in ("command", "verb", "func", "out", "id") \
+                or value is None:
+            continue
         key = renamed.get(dest, dest)
-        if key in EXPERIMENTS[exp]["params"] and value is not None:
-            params[key] = value
-            flags[key] = "--" + dest.replace("_", "-")
+        params[key] = value
+        flags[key] = "--" + dest.replace("_", "-")
     cfg = {"schema": SCHEMA, "experiment": exp, "params": params}
     if args.id:
         cfg["id"] = args.id

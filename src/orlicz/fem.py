@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.sparse import csr_matrix
+from scipy.sparse import bmat, csr_matrix, diags, identity, kron
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from orlicz.spaces import SampledField, luxemburg_norm
 
@@ -348,7 +347,7 @@ class FESpacePair:
         self.n_pressure = tri.n_simplices - 1
 
         self._tables = self._araw = self._stiffness = None
-        self._stiffness_factor = self._pencil = None
+        self._stiffness_factor = self._saddle = self._modes = None
 
     # scalar node ids per element, matching the local shape order
     def element_nodes(self, t):
@@ -405,7 +404,10 @@ class FESpacePair:
         np.add.at(out, 2 * idx + 1, local[..., 1][mask])
         return out
 
-    def _assemble_araw(self):
+    @property
+    def araw(self):
+        """Sparse per-element divergence pairing, integral over S_e of
+        div phi_i; one entry per (element, local node, component)."""
         if self._araw is None:
             tab = self.tables()
             # integral of each shape gradient over the element
@@ -413,73 +415,109 @@ class FESpacePair:
             dofs = tab["dofs"]
             t, a = np.nonzero(dofs >= 0)
             d = dofs[t, a]
-            araw = np.zeros((self.n_velocity, self.tri.n_simplices))
-            np.add.at(araw, (2 * d, t), div[t, a, 0])
-            np.add.at(araw, (2 * d + 1, t), div[t, a, 1])
-            self._araw = araw
+            self._araw = csr_matrix(
+                (np.concatenate([div[t, a, 0], div[t, a, 1]]),
+                 (np.concatenate([2 * d, 2 * d + 1]), np.tile(t, 2))),
+                shape=(self.n_velocity, self.tri.n_simplices))
         return self._araw
 
     @property
-    def araw(self):
-        """Per-element divergence pairing, integral over S_e of
-        div phi_i."""
-        return self._assemble_araw()
-
-    @property
     def A_matrix(self):
-        """Pairing against the mean-zero pressure basis.
+        """Dense pairing against the mean-zero pressure basis, built on
+        every call for the test oracles; the solvers use araw.
 
         Equals the raw matrix with the last column dropped: the mean
         correction contributes the row sum of the raw matrix, which
         vanishes for zero-trace fields.
         """
-        return self._assemble_araw()[:, :-1]
+        return self.araw[:, :-1].toarray()
 
     def pressure_gram(self):
-        """Closed-form L2 Gram of the mean-zero P0 basis."""
+        """Closed-form dense L2 Gram of the mean-zero P0 basis, for the
+        test oracles."""
         a = self._areas[:-1]
         return np.diag(a) - np.outer(a, a) / self.domain_measure
 
     def scalar_stiffness(self):
-        """Scalar stiffness K, integral grad phi_i . grad phi_j over the
-        scalar nodes; the velocity Gram is G = kron(K, I2)."""
+        """Sparse scalar stiffness K, integral grad phi_i . grad phi_j
+        over the scalar nodes; the velocity Gram is G = kron(K, I2)."""
         if self._stiffness is None:
             tab = self.tables()
             loc = np.einsum("tq,tqax,tqbx->tab", tab["qw"],
                             tab["grads"], tab["grads"])
-            # np.add.at accumulates in element order, entry by entry
             rows = np.broadcast_to(tab["dofs"][:, :, None], loc.shape)
             cols = np.swapaxes(rows, 1, 2)
             keep = (rows >= 0) & (cols >= 0)
-            K = np.zeros((self.n_scalar, self.n_scalar))
-            np.add.at(K, (rows[keep], cols[keep]), loc[keep])
-            self._stiffness = K
+            self._stiffness = csr_matrix(
+                (loc[keep], (rows[keep], cols[keep])),
+                shape=(self.n_scalar, self.n_scalar))
         return self._stiffness
 
     def velocity_gradient_gram(self):
-        """Dense integral grad phi_i : grad phi_j, built on every call;
-        the solvers here use gram_solve instead."""
-        return np.kron(self.scalar_stiffness(), np.eye(2))
+        """Dense integral grad phi_i : grad phi_j, built on every call
+        for the test oracles; the solvers use gram_solve instead."""
+        return np.kron(self.scalar_stiffness().toarray(), np.eye(2))
 
     def gram_solve(self, x):
         """G^-1 x for a velocity vector or an (n_velocity, m) stack, one
         component at a time against the factored scalar stiffness."""
         if self._stiffness_factor is None:
-            self._stiffness_factor = cho_factor(self.scalar_stiffness())
+            self._stiffness_factor = _symmetric_lu(self.scalar_stiffness())
         x = np.asarray(x, float)
         # row 2i + c of x is component c at scalar node i
         cols = x.reshape(self.n_scalar, -1)
-        return cho_solve(self._stiffness_factor, cols).reshape(x.shape)
+        return self._stiffness_factor.solve(cols).reshape(x.shape)
 
-    def schur_pencil(self):
-        """Ascending eigenvalues and Mp-orthonormal eigenvectors of
-        (A^T G^-1 A, Mp), built once: the one dense decomposition behind
-        the inf-sup constant, the rank flag and the pressure solve."""
-        if self._pencil is None:
-            A = self.A_matrix
-            self._pencil = eigh(A.T @ self.gram_solve(A),
-                                self.pressure_gram())
-        return self._pencil
+    def saddle_solve(self, f, g):
+        """(u, p) solving [[G, araw], [araw^T, -tau D]] (u, p) = (f, g),
+        with D = diag(areas) the mass of the full P0 basis and tau the
+        module's _SADDLE_SHIFT.
+
+        The Schur complement -(araw^T G^-1 araw + tau D) is negative
+        definite, so the matrix is quasi-definite and factors without
+        pivoting in a symmetric fill-reducing order; the factor is built
+        once and serves the inf-sup modes, the rank flag and the
+        pressure solve.
+        """
+        if self._saddle is None:
+            G = kron(self.scalar_stiffness(), identity(2))
+            self._saddle = _symmetric_lu(bmat(
+                [[G, self.araw],
+                 [self.araw.T, diags(-_SADDLE_SHIFT * self._areas)]]))
+        x = self._saddle.solve(np.concatenate([f, g]))
+        return x[:self.n_velocity], x[self.n_velocity:]
+
+    def pressure_modes(self):
+        """The two smallest eigenvalues of the pencil (S, D), with
+        S = araw^T G^-1 araw on the full P0 basis, and the D-normalized
+        mean-zero eigenvector of the second, built once.
+
+        The first eigenvalue is 0 (the constant pressure); the second is
+        the squared L2 inf-sup constant.  Shift-invert Lanczos at
+        sigma = -tau applies (S + tau D)^-1 by one saddle solve; the
+        shift must sit below 0, since a positive one returns the
+        eigenvalues nearest it instead of the zero modes.  The start
+        vector is fixed because ARPACK's default depends on call order,
+        and the eigenvector's sign is fixed by a positive first entry.
+        """
+        if self._modes is None:
+            T = self.tri.n_simplices
+            zero = np.zeros(self.n_velocity)
+            shift_inv = LinearOperator(
+                (T, T), dtype=float,
+                matvec=lambda y: self.saddle_solve(zero, -y)[1])
+            # shift-invert mode reads the pencil only for its shape
+            pencil = LinearOperator(
+                (T, T), dtype=float,
+                matvec=lambda y: self.araw.T @ self.gram_solve(
+                    self.araw @ y))
+            v0 = np.random.default_rng(0).standard_normal(T)
+            lam, vec = eigsh(pencil, k=2, M=diags(self._areas),
+                             sigma=-_SADDLE_SHIFT, OPinv=shift_inv, v0=v0)
+            v = vec[:, 1] - np.dot(vec[:, 1], self._areas) \
+                / self.domain_measure
+            self._modes = lam, v if v[0] > 0.0 else -v
+        return self._modes
 
     # -- field sampling helpers ------------------------------------------
 
@@ -586,14 +624,27 @@ def assemble_pressure_system(H, V):
     return {"b": V._scatter(contrib), "space": V}
 
 
+# Shift of the saddle matrix's pressure block.  Any tau > 0 makes the
+# matrix quasi-definite; the pressure solve contracts by
+# tau / (lambda_1 + tau) per step, about 0.18 for P2/P0.
+_SADDLE_SHIFT = 0.05
+
 # The pairing is rank deficient, so the pair is not inf-sup stable, when
-# the smallest pencil eigenvalue is this small against the largest.
-# P1/P0 sits below 1e-15, P2/P0 above 0.2.
+# the second pencil eigenvalue is this small.  The eigenvalues are at
+# most 1, since ||div v|| <= ||grad v|| for zero-trace v, so the bound
+# is absolute.  P1/P0 sits below 1e-15, P2/P0 above 0.2.
 _RANK_TOL = 1e-10
 
 
+def _symmetric_lu(matrix):
+    """SuperLU factor of a quasi-definite (or definite) symmetric sparse
+    matrix: symmetric minimum-degree order, no pivoting."""
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def _rank_deficient(lam):
-    return bool(lam[0] <= _RANK_TOL * lam[-1])
+    return bool(lam[1] <= _RANK_TOL)
 
 
 def reconstruct_pressure(system, mode="exact"):
@@ -603,34 +654,40 @@ def reconstruct_pressure(system, mode="exact"):
     onto the range runs in the dual norm induced by the gradient Gram
     matrix G; that choice is what keeps the recovered pressure within a
     mesh-independent factor of the best approximation.  The normal
-    equations give z = Phi Lam^-1 Phi^T A^T G^-1 b from the Schur
-    pencil.  exact mode enforces the orthogonality precondition
-    (relative residual in the G^-1 norm at most 1e-10); least_squares
-    mode reports the residual instead.  Rank deficiency means the
-    velocity/pressure pair is not inf-sup stable and is a hard error
-    naming the pair.
+    equations S p = araw^T G^-1 b are solved on the space's saddle
+    factor by the fixed point p <- (S + tau D)^-1 (araw^T G^-1 b +
+    tau D p), one saddle solve per step, run for as many steps as the
+    contraction tau / (lambda_1 + tau) needs to reach machine precision;
+    the velocity block of the last solve is G^-1 (b - araw p).  exact
+    mode enforces the orthogonality precondition (relative residual in
+    the G^-1 norm at most 1e-10); least_squares mode reports the
+    residual instead.  Rank deficiency means the velocity/pressure pair
+    is not inf-sup stable and is a hard error naming the pair.
     """
     if mode not in ("exact", "least_squares"):
         raise ValueError("mode must be 'exact' or 'least_squares'")
     b = np.asarray(system["b"], float)
     V = system["space"]
-    lam, phi = V.schur_pencil()
+    lam, _ = V.pressure_modes()
     if _rank_deficient(lam):
         raise ValueError(
             "divergence pairing is rank deficient: the (k=%d, m=%d) "
             "pair is not inf-sup stable on this mesh" % (V.k, V.m))
-    A = V.A_matrix
-    gb = V.gram_solve(b)
-    z = phi @ ((phi.T @ (A.T @ gb)) / lam)
-    r = b - A @ z
-    bb = float(b @ gb)
-    rel = math.sqrt(max(float(r @ V.gram_solve(r)), 0.0) / bb) \
-        if bb > 0 else 0.0
+    rate = _SADDLE_SHIFT / (lam[1] + _SADDLE_SHIFT)
+    steps = math.ceil(math.log(np.finfo(float).eps) / math.log(rate))
+    areas = V.tri.areas()
+    p = np.zeros(V.tri.n_simplices)
+    for _ in range(steps):
+        gr, p = V.saddle_solve(b, -_SADDLE_SHIFT * areas * p)
+    p -= np.dot(p, areas) / V.domain_measure
+    r = b - V.araw @ p
+    bb = float(b @ V.gram_solve(b))
+    rel = math.sqrt(max(float(r @ gr), 0.0) / bb) if bb > 0 else 0.0
     if mode == "exact" and rel > 1e-10:
         raise ValueError(
             "load vector is not orthogonal to the cokernel "
             "(relative residual %.3g); use least_squares mode" % rel)
-    return {"coefficients": z, "values": V.pressure_values(z),
+    return {"coefficients": p[:-1] - p[-1], "values": p,
             "residual": rel, "mode": mode}
 
 
@@ -649,8 +706,9 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
     integral p div phi / (||p||_{L^B} ||grad phi||_{L^At}) with At the
     conjugate of A.
 
-    The quadratic pair is solved exactly by the space's Schur pencil:
-    the value is twice the square root of its smallest eigenvalue.  The
+    The quadratic pair is solved exactly by the space's pressure modes:
+    the value is twice the square root of the second pencil eigenvalue
+    (the first belongs to the constant pressure).  The
     factor two is the conjugate-norm convention: the Luxemburg norm for
     the conjugate of the plain quadratic is half the L2 norm, so every
     L2-normalized ratio doubles.  Other pairs run an alternating scheme
@@ -666,12 +724,12 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
         raise ValueError("method must be 'auto', 'eigen', or 'ascent'")
     if method == "eigen" and not quadratic:
         raise ValueError("eigen method requires the quadratic pair")
-    lam, phi = V.schur_pencil()
+    lam, v_eig = V.pressure_modes()
     report = {"h": V.tri.h, "n_velocity": V.n_velocity,
               "n_pressure": V.n_pressure,
               "rank_deficient": _rank_deficient(lam)}
     if method == "eigen":
-        report.update(value=2.0 * math.sqrt(max(float(lam[0]), 0.0)),
+        report.update(value=2.0 * math.sqrt(max(float(lam[1]), 0.0)),
                       method="eigen", converged=True)
         return report
 
@@ -721,9 +779,7 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
                 break
         return best
 
-    # quadratic minimizer as the informed start
-    v_eig = V.pressure_values(phi[:, 0])
-
+    # v_eig, the quadratic minimizer, is the informed start
     rng = np.random.default_rng(seed)
     best_val = math.inf
     best_settled = False

@@ -170,46 +170,57 @@ class TestFamily:
         corner terms with fsum makes shared corners cancel exactly, so
         a constant u pairs to exactly zero.
         """
-        mem = self.members[idx]
-        n, xs, ys = _square_grid(u, "pairing")
-        hx = xs[1] - xs[0]
-        hy = ys[1] - ys[0]
-        ex = np.concatenate([xs - hx / 2.0, [xs[-1] + hx / 2.0]])
-        ey = np.concatenate([ys - hy / 2.0, [ys[-1] + hy / 2.0]])
+        return _pair_member(self.members[idx], *_cell_grid(u))
 
-        # cell window covering the support box
-        i0 = max(int(np.searchsorted(ex, mem.lo[0], "right")) - 1, 0)
-        i1 = min(int(np.searchsorted(ex, mem.hi[0], "left")), n)
-        j0 = max(int(np.searchsorted(ey, mem.lo[1], "right")) - 1, 0)
-        j1 = min(int(np.searchsorted(ey, mem.hi[1], "left")), n)
-        if i1 <= i0 or j1 <= j0:
-            return 0.0
 
-        if mem.orient == 0:
-            px = _bubble(ex[i0:i1 + 1], mem.lo[0], mem.hi[0])
-            py = _bubble_anti(ey[j0:j1 + 1], mem.lo[1], mem.hi[1])
-        else:
-            px = _bubble_anti(ex[i0:i1 + 1], mem.lo[0], mem.hi[0])
-            py = _bubble(ey[j0:j1 + 1], mem.lo[1], mem.hi[1])
-        P = np.outer(px, py)
-        vals = u.values.reshape(n, n)[i0:i1, j0:j1]
-        terms = np.concatenate([
-            (vals * P[1:, 1:]).ravel(),
-            (-vals * P[:-1, 1:]).ravel(),
-            (-vals * P[1:, :-1]).ravel(),
-            (vals * P[:-1, :-1]).ravel(),
-        ])
-        return math.fsum(terms.tolist())
+def _cell_grid(u):
+    """Cell edges ex, ey of a square-grid field and its (n, n) values."""
+    n, xs, ys = _square_grid(u, "pairing")
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
+    ex = np.concatenate([xs - hx / 2.0, [xs[-1] + hx / 2.0]])
+    ey = np.concatenate([ys - hy / 2.0, [ys[-1] + hy / 2.0]])
+    return ex, ey, u.values.reshape(n, n)
+
+
+def _pair_member(mem, ex, ey, values):
+    """TestFamily.pairing of one member on a grid from _cell_grid."""
+    n = len(values)
+    # cell window covering the support box
+    i0 = max(int(np.searchsorted(ex, mem.lo[0], "right")) - 1, 0)
+    i1 = min(int(np.searchsorted(ex, mem.hi[0], "left")), n)
+    j0 = max(int(np.searchsorted(ey, mem.lo[1], "right")) - 1, 0)
+    j1 = min(int(np.searchsorted(ey, mem.hi[1], "left")), n)
+    if i1 <= i0 or j1 <= j0:
+        return 0.0
+
+    if mem.orient == 0:
+        px = _bubble(ex[i0:i1 + 1], mem.lo[0], mem.hi[0])
+        py = _bubble_anti(ey[j0:j1 + 1], mem.lo[1], mem.hi[1])
+    else:
+        px = _bubble_anti(ex[i0:i1 + 1], mem.lo[0], mem.hi[0])
+        py = _bubble(ey[j0:j1 + 1], mem.lo[1], mem.hi[1])
+    P = np.outer(px, py)
+    vals = values[i0:i1, j0:j1]
+    terms = np.concatenate([
+        (vals * P[1:, 1:]).ravel(),
+        (-vals * P[:-1, 1:]).ravel(),
+        (-vals * P[1:, :-1]).ravel(),
+        (vals * P[:-1, :-1]).ravel(),
+    ])
+    return math.fsum(terms.tolist())
 
 
 def member_ratios(u, A, family):
-    """|pairing| / grad-norm for every member, in family order."""
+    """|pairing| / grad-norm for every member, in family order; the
+    grid of u is checked once for all members."""
     if not family.members:
         raise ValueError("empty test family")
     Atilde = A.conjugate()
+    grid = _cell_grid(u)
     out = np.empty(len(family.members))
-    for idx in range(len(family.members)):
-        num = abs(family.pairing(idx, u))
+    for idx, mem in enumerate(family.members):
+        num = abs(_pair_member(mem, *grid))
         out[idx] = num / family.grad_norm(idx, Atilde)
     return out
 

@@ -173,6 +173,36 @@ def test_out_of_range_count_flags_exit_2(tmp_path, capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("fem", "projection", "--mesh", "square:1/4", "--law", "power:1:1:3",
+      "--seed", "5", "--method", "eigen"), "--law"),
+    (("fem", "projection", "--mesh", "square:1/4", "--seed", "5"),
+     "--seed"),
+    (("fem", "pressure", "--mesh", "square:1/4", "--method", "eigen"),
+     "--method"),
+    (("run", "young", "--seed", "3"), "--seed"),
+    (("run", "split", "--seed", "3"), "--seed"),
+])
+def test_flags_the_experiment_does_not_take_exit_2(tmp_path, capsys, argv,
+                                                   flag):
+    # named before any work, instead of being dropped without a word
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "is not a setting of experiment" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_seed_flag_beats_config_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "fem_infsup",
+                               "id": "sd", "seed": 1,
+                               "params": {"mesh": "square:1/4",
+                                          "seed": 2}}))
+    assert run_cli("run", str(cfg), "--seed", "4",
+                   "--out", str(tmp_path)) == 0
+    assert read_report(tmp_path, "sd")["params"]["seed"] == 4
+
+
 @pytest.mark.parametrize("grid", [0, 1, -2, 2.5])
 def test_bad_config_grid_names_field(tmp_path, capsys, grid):
     cfg = tmp_path / "bad.json"

@@ -7,6 +7,9 @@ roundoff scale.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,9 +284,11 @@ def test_mode_validation(spaces):
 def test_infsup_eigen_frozen_values(spaces):
     p2 = power(2)
     frozen = {0.5: 1.163002724022, 0.25: 1.077660841329,
-              0.125: 1.015304602329, 0.0625: 0.975153078295}
+              0.125: 1.015304602329, 0.0625: 0.975153078295,
+              1.0 / 32.0: 0.948010672388}
     for h, want in frozen.items():
-        rep = fem.compute_infsup(spaces[h], p2, p2, method="eigen")
+        V = spaces.get(h) or fem.FESpacePair(fem.triangulate(SQUARE, h))
+        rep = fem.compute_infsup(V, p2, p2, method="eigen")
         assert rep["value"] == pytest.approx(want, rel=1e-8)
         assert rep["method"] == "eigen"
         assert not rep["rank_deficient"]
@@ -362,12 +367,14 @@ def test_infsup_method_validation(spaces):
 
 
 def test_solvers_never_form_the_dense_gradient_gram(monkeypatch):
-    # every solver goes through the space's factored scalar stiffness;
-    # the dense interleaved Gram is left to the oracles
+    # every solver goes through the space's sparse factors; the dense
+    # interleaved Gram, pairing and pressure Gram are left to the oracles
     def refuse(self):
-        raise AssertionError("dense gradient Gram formed")
+        raise AssertionError("dense matrix formed")
 
     monkeypatch.setattr(fem.FESpacePair, "velocity_gradient_gram", refuse)
+    monkeypatch.setattr(fem.FESpacePair, "A_matrix", property(refuse))
+    monkeypatch.setattr(fem.FESpacePair, "pressure_gram", refuse)
     V = fem.FESpacePair(fem.triangulate(SQUARE, 0.25), k=2, m=0)
     p2 = power(2)
     assert fem.compute_infsup(V, p2, p2, method="eigen")["value"] > 0.5
@@ -378,6 +385,27 @@ def test_solvers_never_form_the_dense_gradient_gram(monkeypatch):
     assert fem.reconstruct_pressure(system, "least_squares")["residual"] > 0
     rows = fem.pressure_error_study(sinsin, [0.25], p2, p2)
     assert rows[0]["error"] > 0
+
+
+def test_infsup_eigen_bits_independent_of_blas_threads():
+    # the saddle factor and the Lanczos start are fixed, so the value
+    # must not depend on how many threads the BLAS runs with
+    script = ("from orlicz import fem, power; "
+              "V = fem.FESpacePair(fem.triangulate(%r, 1 / 16)); "
+              "print(repr(fem.compute_infsup(V, power(2), power(2), "
+              "method='eigen')['value']))" % (SQUARE,))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout.strip())
+    assert out[0] == out[1]
+    assert float(out[0]) == pytest.approx(0.975153078295, rel=1e-8)
 
 
 # -- divergence-preserving interpolation -----------------------------------
@@ -440,8 +468,8 @@ def test_projection_zero_on_boundary(spaces):
 
 
 def test_projection_exact_at_h32():
-    # the dual-graph Laplacian solve keeps the 1/32 projection cheap; the
-    # dense araw behind the defect check is about 130 MB here
+    # the dual-graph Laplacian solve and the sparse araw behind the
+    # defect check keep the 1/32 projection cheap
     V = fem.FESpacePair(fem.triangulate(SQUARE, 1.0 / 32.0), k=2, m=0)
     rep = fem.projection_apply(smooth_u, V)
     assert rep["defect_after"] <= 1e-12
