@@ -354,16 +354,20 @@ def _run_one(cfg, out_flag=None, quiet=False, flags=None):
     p, checked = _checked_params(cfg, flags)
     rid = cfg.get("id") or name
     out = _resolve_out(out_flag, cfg.get("out"))
+    report = {"schema": SCHEMA, "experiment": name, "id": rid, "params": p}
     try:
         result = EXPERIMENTS[name]["driver"](checked, out)
     except Exception as exc:
+        # a failed run still leaves a report, naming the error
+        report.update(assertions=[], passed=False, data={},
+                      error="%s: %s" % (type(exc).__name__, exc))
+        _write_json(out / (rid + ".json"), report)
         raise ExperimentError("experiment %r failed: %s" % (rid, exc)) \
             from exc
     assertions = result.get("assertions", [])
     passed = all(a["passed"] for a in assertions)
-    report = {"schema": SCHEMA, "experiment": name, "id": rid,
-              "params": p, "assertions": assertions, "passed": passed,
-              "data": result.get("data", {})}
+    report.update(assertions=assertions, passed=passed,
+                  data=result.get("data", {}))
     _write_json(out / (rid + ".json"), report)
     for tname in sorted(result.get("tables", {})):
         header, rows = result["tables"][tname]
@@ -984,7 +988,10 @@ def _drive_fem_suite(p, out):
                              "interpolant", worst_ratio <= 1.5,
                              worst_ratio, 1.5))
 
-    rows = fem.pressure_error_study(_pi_expr("sinsin"), hs, p2, p2)
+    sinsin = _pi_expr("sinsin")
+    rows = [{"h": h, **fem.pressure_error_row(sinsin, spaces_by_h[h],
+                                               p2, p2)}
+            for h in hs]
     ratios = [r["ratio"] for r in rows]
     rmid = sum(ratios) / len(ratios)
     assertions.append(_check("pressure error ratio within 30% of its "

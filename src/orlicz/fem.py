@@ -40,6 +40,7 @@ __all__ = [
     "evaluate_velocity",
     "check_local_stability",
     "check_orlicz_projection_stability",
+    "pressure_error_row",
     "pressure_error_study",
 ]
 
@@ -1029,40 +1030,44 @@ def _p0_error_field(pi, values, V):
     return SampledField(pts, tab["qw"].ravel(), diff)
 
 
-def pressure_error_study(pi, hs, A, B, lo=(0.0, 0.0), hi=(1.0, 1.0)):
-    """Reconstruction error against the best P0 approximation per mesh.
+def pressure_error_row(pi, V, A, B):
+    """Reconstruction error against the best P0 approximation on V.
 
-    For each pitch: assemble H = pi I, recover the pressure in
-    least-squares mode, and report the L^B reconstruction error, the
-    best one-constant-per-element approximation error in L^A, their
-    ratio, and the stability quotient ||pi_h||_B / ||H||_A.
+    Assemble H = pi I, recover the pressure in least-squares mode, and
+    report the L^B reconstruction error, the best one-constant-per-
+    element approximation error in L^A, their ratio, and the stability
+    quotient ||pi_h||_B / ||H||_A.
     """
+    def Hfun(pts):
+        q = np.asarray(pi(pts), float)
+        return q[:, None, None] * np.eye(2)[None, :, :]
+
+    system = assemble_pressure_system(Hfun, V)
+    rec = reconstruct_pressure(system, mode="least_squares")
+    err = luxemburg_norm(_p0_error_field(pi, rec["values"], V), B)
+    best_vals = _best_p0_approx(pi, V, A)
+    best = luxemburg_norm(_p0_error_field(pi, best_vals, V), A)
+    pi_samples = _p0_error_field(pi, np.zeros(V.tri.n_simplices), V)
+    hmag = pi_samples.with_values(math.sqrt(2.0)
+                                  * np.abs(pi_samples.values))
+    hnorm = luxemburg_norm(hmag, A)
+    pnorm = luxemburg_norm(V.pressure_field(rec["values"]), B)
+    return {
+        "error": err,
+        "best": best,
+        "ratio": err / best if best > 0 else math.inf,
+        "stability": pnorm / hnorm if hnorm > 0 else math.inf,
+        "residual": rec["residual"],
+    }
+
+
+def pressure_error_study(pi, hs, A, B, lo=(0.0, 0.0), hi=(1.0, 1.0)):
+    """pressure_error_row on the P2/P0 space of the box [lo, hi] at
+    each pitch h in hs, with h added to the row."""
     rows = []
     for h in hs:
         tri = triangulate([(lo[0], lo[1]), (hi[0], lo[1]),
                            (hi[0], hi[1]), (lo[0], hi[1])], h)
         V = FESpacePair(tri, k=2, m=0)
-
-        def Hfun(pts):
-            q = np.asarray(pi(pts), float)
-            return q[:, None, None] * np.eye(2)[None, :, :]
-
-        system = assemble_pressure_system(Hfun, V)
-        rec = reconstruct_pressure(system, mode="least_squares")
-        err = luxemburg_norm(_p0_error_field(pi, rec["values"], V), B)
-        best_vals = _best_p0_approx(pi, V, A)
-        best = luxemburg_norm(_p0_error_field(pi, best_vals, V), A)
-        pi_samples = _p0_error_field(pi, np.zeros(V.tri.n_simplices), V)
-        hmag = pi_samples.with_values(math.sqrt(2.0)
-                                      * np.abs(pi_samples.values))
-        hnorm = luxemburg_norm(hmag, A)
-        pnorm = luxemburg_norm(V.pressure_field(rec["values"]), B)
-        rows.append({
-            "h": h,
-            "error": err,
-            "best": best,
-            "ratio": err / best if best > 0 else math.inf,
-            "stability": pnorm / hnorm if hnorm > 0 else math.inf,
-            "residual": rec["residual"],
-        })
+        rows.append({"h": h, **pressure_error_row(pi, V, A, B)})
     return rows

@@ -149,10 +149,11 @@ class YoungFunction:
         if self.kind == "conjugate":
             with np.errstate(over="ignore"):
                 out = np.exp(self._log_eval_conjugate(s))
+            if not scalar:
+                return out
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self._eval_fn(s)
-        out = np.asarray(out, float)
+                out = np.asarray(self._eval_fn(s), float)
         return float(out[()]) if scalar and out.ndim == 0 else (
             float(out.ravel()[0]) if scalar else out)
 
@@ -273,20 +274,24 @@ class YoungFunction:
         # s_zero = a(0+), quadratically when the base density starts flat
         if self._table is None:
             self._table = _build_conj_table(self)
-        interp, lo_x, hi_x, s_zero = self._table
+        x, coef, s_zero = self._table
         s = np.atleast_1d(np.asarray(s, float))
-        out = np.full(s.shape, -np.inf)
         pos = s > s_zero
+        if s.size and pos.all():
+            xs = np.log(s - s_zero)
+            if x[0] <= xs.min() and xs.max() <= x[-1]:
+                return _table_lookup(x, coef, xs)
+        out = np.full(s.shape, -np.inf)
         if np.any(pos):
             sp = s[pos]
             xs = np.log(sp - s_zero)
-            lv = interp(np.clip(xs, lo_x, hi_x))
-            outside = (xs < lo_x) | (xs > hi_x)
+            lv = _table_lookup(x, coef, np.clip(xs, x[0], x[-1]))
+            outside = (xs < x[0]) | (xs > x[-1])
             if np.any(outside):
                 lv = np.where(outside,
                               _conj_log_eval_exact(self.base, sp), lv)
             out[pos] = lv
-        return out if out.shape != () else float(out)
+        return out
 
     def eval_exact(self, s):
         """Bisection-backed evaluation (no interpolation table).
@@ -683,6 +688,8 @@ def _build_conj_table(C):
     outside the tabulated span falls back to that formula per call.  The
     top end is confined so interpolation error stays tiny even for the
     exponential-type conjugates, whose log value is convex in log s.
+    Returns the breakpoints x = log(s - s_zero), scipy's PCHIP
+    coefficients on them (shape (4, len(x) - 1)) and s_zero.
     """
     base = C.base
     s_zero = float(np.asarray(base.density(np.asarray([1e-300]))).ravel()[0])
@@ -713,8 +720,32 @@ def _build_conj_table(C):
         if d.size < 2:
             raise ValueError("degenerate conjugate table")
     x = np.log(d)
-    interp = PchipInterpolator(x, logv, extrapolate=False)
-    return interp, float(x[0]), float(x[-1]), s_zero
+    coef = PchipInterpolator(x, logv).c
+    return x, coef, s_zero
+
+
+def _table_lookup(x, coef, xs):
+    """The cubic table with breakpoints x and coefficients coef at xs.
+
+    xs must lie in [x[0], x[-1]].  The grid x is the log of a geomspace,
+    uniform to a few ulps, so the interval follows from one division and
+    one correction against x[k] and x[k + 1] instead of a search; it is
+    the interval scipy's PPoly picks (x[k] <= xs < x[k + 1], the last
+    one closed).  The cubic is summed in the order of scipy's
+    evaluate_poly1, so the result equals the PchipInterpolator's bit for
+    bit.
+    """
+    n = x.size - 1
+    k = ((xs - x[0]) * (n / (x[-1] - x[0]))).astype(np.intp)
+    np.minimum(k, n - 1, out=k)
+    k -= xs < x.take(k)
+    k += xs >= x[1:].take(k)
+    np.minimum(k, n - 1, out=k)
+    d = xs - x.take(k)
+    d2 = d * d
+    c0, c1, c2, c3 = coef
+    return c3.take(k) + c2.take(k) * d + c1.take(k) * d2 \
+        + c0.take(k) * (d2 * d)
 
 
 def _numeric_conjugate(A):

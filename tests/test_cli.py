@@ -418,6 +418,24 @@ def test_failing_assertion_exits_1(tmp_path, capsys):
     assert rep["passed"] is False
 
 
+def test_failed_driver_leaves_report(tmp_path, capsys, monkeypatch):
+    def boom(p, out):
+        raise RuntimeError("solver diverged")
+
+    monkeypatch.setitem(cli.EXPERIMENTS["young_doc"], "driver", boom)
+    rc = run_cli("young", "--young", "power:2", "--out", str(tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: experiment 'young_doc' failed: solver diverged\n")
+    rep = read_report(tmp_path, "young_doc")
+    assert rep["passed"] is False
+    assert rep["error"] == "RuntimeError: solver diverged"
+    assert rep["assertions"] == []
+    assert rep["data"] == {}
+    assert rep["experiment"] == "young_doc"
+    assert rep["params"]["young"] == "power:2"
+
+
 def test_run_fem_requires_verb(capsys):
     assert run_cli("run", "fem") == 2
     assert "verb" in capsys.readouterr().err

@@ -358,6 +358,19 @@ def test_infsup_general_pair_stable_in_h(spaces):
     assert min(vals.values()) > 0.5
 
 
+@pytest.mark.parametrize("h, value, evals", [(0.25, 1.0264427855362641, 278),
+                                             (0.125, 1.1402872978601681,
+                                              211)])
+def test_infsup_general_pair_short_ascent_pinned(spaces, h, value, evals):
+    # frozen: one restart of at most 100 steps from direction seed 2.
+    # A faster norm evaluation must leave the iterates as they are, so
+    # the number of ratio evaluations is pinned exactly
+    rep = fem.compute_infsup(spaces[h], zygmund(1, 1), power(1), seed=2,
+                             max_iter=100, restarts=1)
+    assert rep["value"] == pytest.approx(value, rel=1e-12)
+    assert rep["ratio_evals"] == evals
+
+
 def test_infsup_method_validation(spaces):
     V = spaces[0.25]
     with pytest.raises(ValueError):

@@ -542,3 +542,24 @@ def test_grid_gradient_linear_exact():
     g = grid_gradient(3.0 * X - 2.0 * Y, h)
     assert np.allclose(g[..., 0], 3.0, rtol=0, atol=1e-12)
     assert np.allclose(g[..., 1], -2.0, rtol=0, atol=1e-12)
+
+
+def _fsum_outcome(fn, arr):
+    try:
+        return ("value", fn(arr).hex())
+    except (ValueError, OverflowError) as exc:
+        return ("error", type(exc).__name__)
+
+
+@pytest.mark.parametrize("extra", [[], [math.inf], [math.nan],
+                                   [math.inf, -math.inf],
+                                   [1e308, 1e308, -1e308]])
+def test_fsum_of_list_equals_fsum_of_array(extra):
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        arr = rng.standard_normal(300) * 10.0 ** rng.integers(-320, 300, 300)
+        arr[:6] = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.2e-315]
+        arr = rng.permutation(np.concatenate([arr, extra]))
+        for a in (arr, arr.reshape(-1, 1)):
+            assert _fsum_outcome(sp._fsum, a) == \
+                _fsum_outcome(math.fsum, a.ravel())

@@ -14,7 +14,9 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
+from orlicz import young
 from orlicz.young import (
     YoungFunction,
     power,
@@ -170,6 +172,47 @@ def test_conjugate_involution():
             continue
         rel = np.abs(v2[m] - va[m]) / va[m]
         assert np.max(rel) <= 1e-6, (A.kind, A.params, float(np.max(rel)))
+
+
+@pytest.mark.parametrize("spec", ["zygmund:1:1", "zygmund:2:1",
+                                  "zygmund:1:2", "exp:1", "exp:0.5",
+                                  "eyring"])
+def test_conjugate_table_lookup_matches_pchip(spec, monkeypatch):
+    # the oracle is scipy's own interpolant through the table's nodes,
+    # recorded as the builder hands them over
+    nodes = []
+
+    def recording(x, y, **kw):
+        nodes.append((x.copy(), y.copy()))
+        return PchipInterpolator(x, y, **kw)
+
+    monkeypatch.setattr(young, "PchipInterpolator", recording)
+    C = parse_young(spec).conjugate()
+    C.log_eval(1.0)
+    (x, logv), = nodes
+    oracle = PchipInterpolator(x, logv, extrapolate=False)
+    tx, coef, s_zero = C._table
+    assert np.array_equal(tx, x)
+
+    rng = np.random.default_rng(11)
+    inside = rng.uniform(x[0], x[-1], 10_000)
+    # every breakpoint, its neighbouring doubles and every midpoint
+    below, above = np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf)
+    pts = np.concatenate([x, below, above, (x[:-1] + x[1:]) / 2.0,
+                          [x[0], x[-1]], inside])
+    assert np.array_equal(young._table_lookup(tx, coef, pts), oracle(pts))
+
+    # through log_eval, on a 2-D input: all inside the table (the fast
+    # path), then with one entry at s_zero, where the conjugate vanishes
+    s = (s_zero + np.exp(inside)).reshape(100, 100)
+    xs = np.log(s - s_zero)
+    assert np.array_equal(C.log_eval(s), oracle(xs))
+    s[3, 7] = s_zero
+    lv = C.log_eval(s)
+    assert lv.shape == (100, 100) and lv[3, 7] == -np.inf
+    keep = np.ones(s.shape, bool)
+    keep[3, 7] = False
+    assert np.array_equal(lv[keep], oracle(xs[keep]))
 
 
 def test_numeric_conjugate_leaves_no_reference_cycle():
