@@ -350,7 +350,7 @@ def modular(u, A):
         return 0.0
     with np.errstate(over="ignore"):
         terms = meas[keep] * A(mags[keep])
-    if np.any(np.isinf(terms)):
+    if np.isinf(terms).any():
         return math.inf
     return _fsum(terms)
 
@@ -358,7 +358,7 @@ def modular(u, A):
 def _modular_scaled(mags, meas, A, lam):
     with np.errstate(over="ignore", invalid="ignore"):
         terms = meas * A(mags / lam)
-    if np.any(np.isinf(terms)):
+    if np.isinf(terms).any():
         return math.inf
     return _fsum(terms)
 

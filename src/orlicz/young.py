@@ -276,12 +276,12 @@ class YoungFunction:
             self._table = _build_conj_table(self)
         x, coef, s_zero = self._table
         s = np.atleast_1d(np.asarray(s, float))
-        pos = s > s_zero
-        if s.size and pos.all():
+        if s.size and s.min() > s_zero:
             xs = np.log(s - s_zero)
             if x[0] <= xs.min() and xs.max() <= x[-1]:
                 return _table_lookup(x, coef, xs)
         out = np.full(s.shape, -np.inf)
+        pos = s > s_zero
         if np.any(pos):
             sp = s[pos]
             xs = np.log(sp - s_zero)
