@@ -215,6 +215,20 @@ def test_conjugate_table_lookup_matches_pchip(spec, monkeypatch):
     assert np.array_equal(lv[keep], oracle(xs[keep]))
 
 
+@pytest.mark.parametrize("spec", ["zygmund:1:1", "exp:0.5", "eyring"])
+def test_density_inverse_matches_plain_bisection(spec):
+    # one density evaluation per run of equal midpoints must return what
+    # probing every target returns, for sorted and shuffled targets;
+    # pairs of targets a few ulps apart share a bracket until late steps
+    A = parse_young(spec)
+    base = np.geomspace(1e-9, 600.0, 1000)
+    sigma = np.ravel([base, base * (1.0 + 1e-14)], order="F")
+    sigma = np.stack([sigma, np.random.default_rng(3).permutation(sigma)])
+    plain = young._bisect_boundary_log(
+        lambda u: A.density_logarg(u) < sigma, sigma.shape)
+    assert np.array_equal(young._invert_density_logdomain(A, sigma), plain)
+
+
 def test_numeric_conjugate_leaves_no_reference_cycle():
     # A caches its conjugate, which evaluates through A: were the two a
     # cycle, each dropped pair (with its tables) would wait for a full
