@@ -825,18 +825,19 @@ def _drive_negative_norm(p, out):
     depths = range(1, p["depth"] + 1)
     prefix = {d: sum(m.scale < d for m in fam.members) for d in depths}
     corpus = [(name, _square_field(name, n)) for name in _corpus()]
+    # each literal parsed once: a parse builds fresh conjugate tables
+    pairs = [(literal, *young.parse_pair(literal)) for literal in p["pairs"]]
     assertions = []
 
     ones = SampledField.from_grid(np.ones((n, n)), 1.0 / n)
     const_worst = 0.0
-    for literal in p["pairs"]:
-        A, _ = young.parse_pair(literal)
+    for _, A, _ in pairs:
         lower, _ = negnorm.neg_norm_lower(ones, A, fam)
         const_worst = max(const_worst, lower)
     assertions.append(_check("constants score zero", const_worst == 0.0,
                              const_worst, 0.0))
 
-    A2, _ = young.parse_pair(p["pairs"][0])
+    A2 = pairs[0][1]
     ratios0 = negnorm.member_ratios(corpus[0][1], A2, fam)
     lows = [float(np.max(ratios0[:prefix[d]])) for d in depths]
     h = 1.0 / n
@@ -852,8 +853,7 @@ def _drive_negative_norm(p, out):
         lows == sorted(lows) and picked_up, lows, None))
 
     band_rows = []
-    for literal in p["pairs"]:
-        A, B = young.parse_pair(literal)
+    for literal, A, B in pairs:
         per_depth = {d: [] for d in depths}
         certified = True
         for name, u in corpus:

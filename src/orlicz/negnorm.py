@@ -7,14 +7,19 @@ The test family consists of tensor-product bubble fields
     phi(x) = ((x1-a1)(b1-x1))^2 ((x2-a2)(b2-x2))^2 e_d
 
 on dyadic sub-boxes of a rectangle, whose gradients are polynomial and
-whose pairings with a cell field are exact: each cell integral of
-div phi is a four-corner difference of the product antiderivative, and
-the total is fsum'ed over the corner terms, so for a constant field the
-terms cancel in exactly matched pairs and the lower bound is literally
-zero.  Member gradient norms are Luxemburg norms of the sampled
-gradient magnitude; they enter only as normalizations, and their
-sampling resolution is fixed so that values are comparable across
-members and runs.
+whose pairings with a cell field are exact.  Each cell integral of
+div phi is a four-corner difference of P = px (x) py, the separable
+antiderivative at the cell corners.  Summation by parts moves the
+differences onto the field: the pairing is sum_ab P[a,b] D[a,b], with D
+the second difference of the zero-padded values on the corner grid.
+For a constant field D vanishes exactly off the four corners of the
+grid box, where every bubble vanishes, so the lower bound is literally
+zero; a field of x alone leaves D exactly zero off the two columns at
+the y ends, where every y-oriented bubble vanishes, and likewise for y.
+Member gradient norms are Luxemburg norms of the sampled gradient
+magnitude; they enter only as normalizations, and their sampling
+resolution is fixed so that values are comparable across members and
+runs.
 """
 
 from __future__ import annotations
@@ -155,74 +160,66 @@ class TestFamily:
     def __len__(self):
         return len(self.members)
 
-    def grad_norm(self, idx, Atilde):
-        key = (idx, young_to_json(Atilde))
-        if key not in self._norm_cache:
-            field = self.members[idx].grad_magnitude_field()
-            self._norm_cache[key] = luxemburg_norm(field, Atilde)
-        return self._norm_cache[key]
+    def grad_norms(self, Atilde):
+        """Luxemburg norms in Atilde of |grad phi|, in family order.
+
+        |grad(g e_d)| = |grad g| for either orientation d, and the
+        sampled field depends only on the box's width and height, so one
+        norm is taken per box shape.
+        """
+        spec = young_to_json(Atilde)
+        out = np.empty(len(self.members))
+        for idx, mem in enumerate(self.members):
+            key = (mem.hi[0] - mem.lo[0], mem.hi[1] - mem.lo[1], spec)
+            if key not in self._norm_cache:
+                self._norm_cache[key] = luxemburg_norm(
+                    mem.grad_magnitude_field(), Atilde)
+            out[idx] = self._norm_cache[key]
+        return out
 
     def pairing(self, idx, u):
         """integral of u div(phi_idx), exact for the cell field u.
 
-        The cell integral of div phi is a difference of the separable
-        antiderivative at the four cell corners; summing the signed
-        corner terms with fsum makes shared corners cancel exactly, so
-        a constant u pairs to exactly zero.
+        Summed by parts as in :func:`_pairings`: a constant u has its
+        second difference on the grid box's corners only, where the
+        bubble vanishes, so it pairs to exactly zero.
         """
-        return _pair_member(self.members[idx], *_cell_grid(u))
+        return float(_pairings([self.members[idx]], u)[0])
 
 
-def _cell_grid(u):
-    """Cell edges ex, ey of a square-grid field and its (n, n) values."""
+def _pairings(members, u):
+    """integral of u div(phi) for each member, on u's square grid.
+
+    sum_ij u_ij (P[i+1,j+1] - P[i,j+1] - P[i+1,j] + P[i,j]) is summed by
+    parts as sum_ab P[a,b] D[a,b], with D a difference of differences of
+    the zero-padded values, so it is exactly zero across a field that is
+    constant along an axis.  The contraction calls no BLAS, so its bits
+    do not depend on the thread count.  A member whose box misses the
+    grid pairs to exactly 0.
+    """
     n, xs, ys = _square_grid(u, "pairing")
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    ex = np.concatenate([xs - hx / 2.0, [xs[-1] + hx / 2.0]])
-    ey = np.concatenate([ys - hy / 2.0, [ys[-1] + hy / 2.0]])
-    return ex, ey, u.values.reshape(n, n)
-
-
-def _pair_member(mem, ex, ey, values):
-    """TestFamily.pairing of one member on a grid from _cell_grid."""
-    n = len(values)
-    # cell window covering the support box
-    i0 = max(int(np.searchsorted(ex, mem.lo[0], "right")) - 1, 0)
-    i1 = min(int(np.searchsorted(ex, mem.hi[0], "left")), n)
-    j0 = max(int(np.searchsorted(ey, mem.lo[1], "right")) - 1, 0)
-    j1 = min(int(np.searchsorted(ey, mem.hi[1], "left")), n)
-    if i1 <= i0 or j1 <= j0:
-        return 0.0
-
-    if mem.orient == 0:
-        px = _bubble(ex[i0:i1 + 1], mem.lo[0], mem.hi[0])
-        py = _bubble_anti(ey[j0:j1 + 1], mem.lo[1], mem.hi[1])
-    else:
-        px = _bubble_anti(ex[i0:i1 + 1], mem.lo[0], mem.hi[0])
-        py = _bubble(ey[j0:j1 + 1], mem.lo[1], mem.hi[1])
-    P = np.outer(px, py)
-    vals = values[i0:i1, j0:j1]
-    terms = np.concatenate([
-        (vals * P[1:, 1:]).ravel(),
-        (-vals * P[:-1, 1:]).ravel(),
-        (-vals * P[1:, :-1]).ravel(),
-        (vals * P[:-1, :-1]).ravel(),
-    ])
-    return math.fsum(terms.tolist())
+    lo, hi = (np.array([getattr(m, end) for m in members])
+              for end in ("lo", "hi"))
+    orient = np.array([m.orient for m in members])[:, None]
+    P = []
+    meets = True
+    for ax, c in enumerate((xs, ys)):
+        h = c[1] - c[0]
+        e = np.concatenate([c - h / 2.0, [c[-1] + h / 2.0]])
+        a, b = lo[:, ax, None], hi[:, ax, None]
+        P.append(np.where(orient == ax, _bubble(e, a, b),
+                          _bubble_anti(e, a, b)))
+        meets = meets & (a[:, 0] < e[-1]) & (b[:, 0] > e[0])
+    D = np.diff(np.diff(np.pad(u.values.reshape(n, n), 1), axis=1), axis=0)
+    return np.where(meets, np.einsum("ma,ab,mb->m", P[0], D, P[1]), 0.0)
 
 
 def member_ratios(u, A, family):
-    """|pairing| / grad-norm for every member, in family order; the
-    grid of u is checked once for all members."""
+    """|pairing| / grad-norm for every member, in family order."""
     if not family.members:
         raise ValueError("empty test family")
-    Atilde = A.conjugate()
-    grid = _cell_grid(u)
-    out = np.empty(len(family.members))
-    for idx, mem in enumerate(family.members):
-        num = abs(_pair_member(mem, *grid))
-        out[idx] = num / family.grad_norm(idx, Atilde)
-    return out
+    return np.abs(_pairings(family.members, u)) / \
+        family.grad_norms(A.conjugate())
 
 
 def neg_norm_lower(u, A, family):
@@ -331,10 +328,10 @@ def sup_approx_convergence(v, A, K=32, probe=None):
     cent = v.centroids
     lo = cent.min(axis=0)
     hi = cent.max(axis=0)
-    # cell half-width back to the true box edge
-    hx = (hi[0] - lo[0]) / (n - 1)
-    lo = lo - hx / 2.0
-    hi = hi + hx / 2.0
+    # each axis's cell half-width back to the true box edge
+    h = (hi - lo) / (n - 1)
+    lo = lo - h / 2.0
+    hi = hi + h / 2.0
     dist = np.minimum.reduce([
         cent[:, 0] - lo[0], hi[0] - cent[:, 0],
         cent[:, 1] - lo[1], hi[1] - cent[:, 1],

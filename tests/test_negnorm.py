@@ -8,6 +8,9 @@ rates were measured on the compactly supported bubble (1.6% at k=16,
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from orlicz import negnorm
 from orlicz import young
 from orlicz.negnorm import (member_ratios, neg_norm_lower, neg_norm_upper,
                             sup_approx_convergence, two_sided_check)
-from orlicz.spaces import SampledField, luxemburg_norm
+from orlicz.spaces import SampledField, luxemburg_norm, pairing
 
 N = 64
 H = 1.0 / N
@@ -103,6 +106,74 @@ def test_pairing_cross_orientation_telescopes_to_zero(family):
     assert family.pairing(1, _field(X)) == 0.0
 
 
+def _gl_cell_div(mem, edges):
+    """Cell integrals of div phi by three-node Gauss-Legendre on each
+    cell's piece of the support, exact for the degree-4 pieces."""
+    xg, wg = np.polynomial.legendre.leggauss(3)
+    per_axis = []
+    for ax in (0, 1):
+        a, b = mem.lo[ax], mem.hi[ax]
+        lo_c = np.clip(edges[:-1], a, b)[:, None]
+        hi_c = np.clip(edges[1:], a, b)[:, None]
+        t = 0.5 * (hi_c - lo_c) * xg + 0.5 * (hi_c + lo_c)
+        if ax == mem.orient:
+            f = 2.0 * (t - a) * (b - t) * (a + b - 2.0 * t)
+        else:
+            f = ((t - a) * (b - t)) ** 2
+        per_axis.append(0.5 * (hi_c - lo_c)[:, 0] * np.sum(wg * f, axis=1))
+    return np.outer(*per_axis)
+
+
+def _noise(n, seed=11):
+    vals = np.random.default_rng(seed).standard_normal((n, n))
+    return SampledField.from_grid(vals, 1.0 / n)
+
+
+@pytest.mark.parametrize("name,u", [("noise 64", _noise(64)),
+                                    ("noise 48", _noise(48))]
+                         + corpus_fields())
+def test_batched_pairings_match_gauss_legendre(family, name, u):
+    # relative to the sum of |u * cell integral|, the benchmark's bound
+    n = int(round(math.sqrt(u.n_cells)))
+    vals = u.values.reshape(n, n)
+    edges = np.arange(n + 1) / n
+    got = negnorm._pairings(family.members, u)
+    for idx, mem in enumerate(family.members):
+        cell = vals * _gl_cell_div(mem, edges)
+        err = abs(got[idx] - np.sum(cell)) / np.sum(np.abs(cell))
+        assert err <= 1e-12, (name, idx, err)
+        assert family.pairing(idx, u) == \
+            pytest.approx(got[idx], rel=1e-12, abs=1e-15 * np.abs(got).max())
+
+
+def test_axis_fields_pair_exactly_zero_with_cross_members(family):
+    # a field of x alone against every y-oriented member, and the
+    # reverse: D is exactly zero off the ends where those bubbles vanish
+    prof = np.random.default_rng(4).standard_normal(N)
+    for arr, orient in ((np.tile(prof[:, None], (1, N)), 1),
+                        (np.tile(prof[None, :], (N, 1)), 0)):
+        got = negnorm._pairings(family.members, _field(arr))
+        cross = [m.orient == orient for m in family.members]
+        assert np.all(got[cross] == 0.0)
+        assert np.all(got[np.logical_not(cross)] != 0.0)
+
+
+def test_member_off_the_grid_pairs_to_zero():
+    # boxes beside, below and beyond the unit-square grid, both
+    # orientations; on the left the x antiderivative is a nonzero
+    # constant, so only the box test makes these exact
+    boxes = [((-1.0, 0.2), (-0.5, 0.6)), ((0.2, -1.0), (0.6, -0.5)),
+             ((1.0, 0.2), (1.5, 0.6)), ((2.0, 2.0), (3.0, 3.0))]
+    members = [negnorm.BubbleMember(lo, hi, orient, 0)
+               for lo, hi in boxes for orient in (0, 1)]
+    u = _noise(16, seed=0)
+    assert np.all(negnorm._pairings(members, u) == 0.0)
+    fam = negnorm.TestFamily(members)
+    assert all(fam.pairing(i, u) == 0.0 for i in range(len(fam)))
+    ratios = member_ratios(u, young.power(2.0), fam)
+    assert np.all(ratios == 0.0)
+
+
 def test_pairing_needs_square_grid(family):
     cells = np.column_stack([np.linspace(0.1, 0.9, 7),
                              np.full(7, 0.5)])
@@ -164,6 +235,43 @@ def test_witness_tie_breaks_to_lowest_index(family):
     sub = negnorm.TestFamily(family.members[2:6])
     _, witness = neg_norm_lower(u, young.power(2.0), sub)
     assert witness == 0
+
+
+@pytest.mark.parametrize("lo,hi", [((0.0, 0.0), (1.0, 1.0)),
+                                   ((0.0, 0.0), (2.0, 1.0))])
+@pytest.mark.parametrize("literal", ["power:2", "zygmund:1:1", "exp:1"])
+def test_grad_norms_per_shape_equal_per_member(lo, hi, literal):
+    # one norm per box shape, bit-equal to each member's own norm
+    fam = negnorm.TestFamily.bubbles(lo, hi, depth=3)
+    At = young.parse_young(literal).conjugate()
+    got = fam.grad_norms(At)
+    want = [luxemburg_norm(m.grad_magnitude_field(), At)
+            for m in fam.members]
+    assert np.array_equal(got, want)
+    assert len(fam._norm_cache) == 3
+
+
+def test_member_ratios_bits_independent_of_blas_threads():
+    script = ("import numpy as np; "
+              "from orlicz import negnorm, young; "
+              "from orlicz.spaces import SampledField; "
+              "u = SampledField.from_grid(np.random.default_rng(5)"
+              ".standard_normal((32, 32)), 1 / 32); "
+              "fam = negnorm.TestFamily.bubbles((0, 0), (1, 1), depth=3); "
+              "print(*map(repr, negnorm.member_ratios("
+              "u, young.zygmund(1.0, 1.0), fam)))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout.strip())
+    assert out[0] == out[1]
+    assert len(out[0].split()) == 42
 
 
 def test_empty_family_raises():
@@ -287,6 +395,32 @@ def test_sup_approx_spike_truncation_monotone():
     assert all(nm <= target * (1 + 1e-12) for nm in norms)
     for row in rep["steps"]:
         assert row["mean_zero_residual"] <= 1e-13 * vf.max_abs()
+
+
+def test_sup_approx_band_uses_each_axis_spacing():
+    # cells twice as wide as tall on [0, 2] x [0, 1]: the boundary band
+    # must start half a cell out along each axis, not half an x cell
+    from orlicz.negnorm import _mollify
+    n = 16
+    X, Y = np.meshgrid((np.arange(n) + 0.5) * (2.0 / n),
+                       (np.arange(n) + 0.5) / n, indexing="ij")
+    cent = np.column_stack([X.ravel(), Y.ravel()])
+    meas = np.full(n * n, 2.0 / n ** 2)
+    rng = np.random.default_rng(8)
+    v = SampledField(cent, meas, rng.uniform(0.5, 3.0, n * n))
+    probe = SampledField(cent, meas, rng.standard_normal(n * n))
+    A = young.power(2.0)
+    rep = sup_approx_convergence(v, A, K=8, probe=probe)
+    dist = np.minimum.reduce([X, 2.0 - X, Y, 1.0 - Y]).ravel()
+    assert [row["k"] for row in rep["steps"]] == [1, 2, 4, 8]
+    for row in rep["steps"]:
+        k = row["k"]
+        kept = np.where(dist >= 2.0 / k, np.minimum(v.values, k), 0.0)
+        want = _mollify(v.with_values(kept), 1.0 / k)
+        assert row["norm"] == pytest.approx(
+            luxemburg_norm(want, A.conjugate()), rel=1e-12)
+        assert row["pairing"] == pytest.approx(pairing(probe, want),
+                                               rel=1e-12)
 
 
 def test_mollification_preserves_mean_support():
