@@ -825,7 +825,7 @@ def _drive_negative_norm(p, out):
     depths = range(1, p["depth"] + 1)
     prefix = {d: sum(m.scale < d for m in fam.members) for d in depths}
     corpus = [(name, _square_field(name, n)) for name in _corpus()]
-    # each literal parsed once: a parse builds fresh conjugate tables
+    # each literal parsed once: a parse builds fresh Young functions
     pairs = [(literal, *young.parse_pair(literal)) for literal in p["pairs"]]
     assertions = []
 

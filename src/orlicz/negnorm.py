@@ -164,8 +164,8 @@ class TestFamily:
         """Luxemburg norms in Atilde of |grad phi|, in family order.
 
         |grad(g e_d)| = |grad g| for either orientation d, and the
-        sampled field depends only on the box's width and height, so one
-        norm is taken per box shape.
+        samples move with the box, so one norm is taken per box width
+        and height.
         """
         spec = young_to_json(Atilde)
         out = np.empty(len(self.members))
