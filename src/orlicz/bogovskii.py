@@ -115,8 +115,9 @@ class StarDomain:
             inside ^= crosses & (x < np.where(crosses, xc, 0.0))
         return inside
 
-    def star_check(self, n_dirs=12, n_steps=9):
+    def star_check(self):
         """Sample segments vertex-to-ball and test containment."""
+        n_dirs, n_steps = 12, 9
         ang = np.linspace(0, 2 * math.pi, n_dirs, endpoint=False)
         ball_pts = self.ball_center + 0.999 * self.ball_radius * \
             np.column_stack([np.cos(ang), np.sin(ang)])
@@ -137,8 +138,9 @@ class StarDomain:
         c = 5.0 / (math.pi * self.ball_radius ** 2)
         return c * np.where(q > 0, q, 0.0) ** 4
 
-    def mollifier_mass(self, n=400):
+    def mollifier_mass(self):
         """Midpoint-rule integral of the bump, a quadrature sanity check."""
+        n = 400
         r = self.ball_radius
         lo = self.ball_center - r
         h = 2.0 * r / n
@@ -151,20 +153,20 @@ class StarDomain:
     # -- stock shapes -----------------------------------------------------
 
     @staticmethod
-    def disk(center=(0.0, 0.0), radius=1.0, n_vertices=96, ball_frac=0.5):
-        ang = np.linspace(0, 2 * math.pi, n_vertices, endpoint=False)
-        verts = np.asarray(center, float) + radius * \
-            np.column_stack([np.cos(ang), np.sin(ang)])
-        return StarDomain(verts, center, ball_frac * radius, check=False)
+    def disk(radius=1.0):
+        """96-gon about the origin, star-shaped for the half-radius ball."""
+        ang = np.linspace(0, 2 * math.pi, 96, endpoint=False)
+        verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+        return StarDomain(verts, (0.0, 0.0), 0.5 * radius, check=False)
 
     @staticmethod
-    def rectangle(lo, hi, ball_frac=0.35):
+    def rectangle(lo, hi):
         lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
         verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]],
                           [hi[0], hi[1]], [lo[0], hi[1]]])
         center = 0.5 * (lo + hi)
-        radius = ball_frac * float(np.min(hi - lo))
+        radius = 0.35 * float(np.min(hi - lo))
         return StarDomain(verts, center, radius, check=False)
 
     def __repr__(self):
@@ -512,19 +514,20 @@ def bogovskii_field(f, D):
 # estimates around the field
 
 
-def check_modular_bound(field_report, A, B, c_lo=1e-6, c_hi=1e9):
-    """Least C with integral B(|grad u|) <= integral A(C |f|)."""
+def check_modular_bound(field_report, A, B):
+    """Least C in [1e-6, 1e9] with integral B(|grad u|) <= integral
+    A(C |f|); inf when even 1e9 falls short."""
     lhs = modular(field_report["gradient"].magnitude_field(), B)
     f = field_report["f"]
 
     def rhs(c):
         return modular(f * c, A)
 
-    if rhs(c_lo) >= lhs:
-        return c_lo
-    if rhs(c_hi) < lhs:
+    lo, hi = 1e-6, 1e9
+    if rhs(lo) >= lhs:
+        return lo
+    if rhs(hi) < lhs:
         return math.inf
-    lo, hi = c_lo, c_hi
     for _ in range(200):
         if hi - lo <= 1e-10 * hi:
             break

@@ -224,7 +224,7 @@ def triangulate(polygon, h_target, coarse=None):
 
 @dataclass(frozen=True)
 class StressLaw:
-    """Constitutive map S(xi); rho is carried along, never used here."""
+    """Constitutive map S(xi)."""
 
     kind: str
     nu0: float = 1.0
@@ -232,25 +232,24 @@ class StressLaw:
     p: float = 2.0
     lam0: float = 1.0
     phi: object = None
-    rho: float = 1.0
 
     @staticmethod
-    def power(nu0, kappa0, p, rho=1.0):
+    def power(nu0, kappa0, p):
         if p <= 1.0:
             raise ValueError("power-law exponent must exceed 1")
         if nu0 <= 0.0 or kappa0 < 0.0:
             raise ValueError("need nu0 > 0 and kappa0 >= 0")
-        return StressLaw("power", nu0=nu0, kappa0=kappa0, p=p, rho=rho)
+        return StressLaw("power", nu0=nu0, kappa0=kappa0, p=p)
 
     @staticmethod
-    def eyring(nu0, lam0, rho=1.0):
+    def eyring(nu0, lam0):
         if nu0 <= 0.0 or lam0 <= 0.0:
             raise ValueError("need nu0 > 0 and lam0 > 0")
-        return StressLaw("eyring", nu0=nu0, lam0=lam0, rho=rho)
+        return StressLaw("eyring", nu0=nu0, lam0=lam0)
 
     @staticmethod
-    def potential(phi, rho=1.0):
-        return StressLaw("potential", phi=phi, rho=rho)
+    def potential(phi):
+        return StressLaw("potential", phi=phi)
 
 
 def stress_eval(law, xi):
@@ -530,15 +529,6 @@ class FESpacePair:
         c0 = np.where(dofs >= 0, coeffs[2 * safe], 0.0)
         c1 = np.where(dofs >= 0, coeffs[2 * safe + 1], 0.0)
         return c0, c1
-
-    def pressure_values(self, coeffs):
-        """Element values of the pressure with the given basis
-        coefficients."""
-        coeffs = np.asarray(coeffs, float)
-        vals = np.concatenate([coeffs, [0.0]])
-        shift = float(np.dot(coeffs, self._areas[:-1])) \
-            / self.domain_measure
-        return vals - shift
 
     def pressure_field(self, values):
         cent = self.tri.vertices[self.tri.simplices].mean(axis=1)
@@ -1061,13 +1051,13 @@ def pressure_error_row(pi, V, A, B):
     }
 
 
-def pressure_error_study(pi, hs, A, B, lo=(0.0, 0.0), hi=(1.0, 1.0)):
-    """pressure_error_row on the P2/P0 space of the box [lo, hi] at
-    each pitch h in hs, with h added to the row."""
+def pressure_error_study(pi, hs, A, B):
+    """pressure_error_row on the P2/P0 space of the unit square at each
+    pitch h in hs, with h added to the row."""
     rows = []
     for h in hs:
-        tri = triangulate([(lo[0], lo[1]), (hi[0], lo[1]),
-                           (hi[0], hi[1]), (lo[0], hi[1])], h)
+        tri = triangulate([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                          h)
         V = FESpacePair(tri, k=2, m=0)
         rows.append({"h": h, **pressure_error_row(pi, V, A, B)})
     return rows

@@ -114,8 +114,10 @@ class BubbleMember:
         out[:, self.orient, 1] = b1 * d2
         return out
 
-    def grad_magnitude_field(self, m=_NORM_SAMPLES):
-        """|grad phi| sampled on an m-by-m midpoint grid of the box."""
+    def grad_magnitude_field(self):
+        """|grad phi| sampled on the _NORM_SAMPLES-square midpoint grid
+        of the box."""
+        m = _NORM_SAMPLES
         hx = (self.hi[0] - self.lo[0]) / m
         hy = (self.hi[1] - self.lo[1]) / m
         xs = self.lo[0] + (np.arange(m) + 0.5) * hx
@@ -193,9 +195,12 @@ def _pairings(members, u):
     sum_ij u_ij (P[i+1,j+1] - P[i,j+1] - P[i+1,j] + P[i,j]) is summed by
     parts as sum_ab P[a,b] D[a,b], with D a difference of differences of
     the zero-padded values, so it is exactly zero across a field that is
-    constant along an axis.  The contraction calls no BLAS, so its bits
-    do not depend on the thread count.  A member whose box misses the
-    grid pairs to exactly 0.
+    constant along an axis.  The cell edges are rebuilt from the
+    centroids; one within 1e-9 h of a member's box end (a rounding
+    error) is snapped to it, so the bubble vanishes there exactly and a
+    constant pairs to exactly zero on every grid.  The contraction calls
+    no BLAS, so its bits do not depend on the thread count.  A member
+    whose box misses the grid pairs to exactly 0.
     """
     n, xs, ys = _square_grid(u, "pairing")
     lo, hi = (np.array([getattr(m, end) for m in members])
@@ -207,8 +212,11 @@ def _pairings(members, u):
         h = c[1] - c[0]
         e = np.concatenate([c - h / 2.0, [c[-1] + h / 2.0]])
         a, b = lo[:, ax, None], hi[:, ax, None]
-        P.append(np.where(orient == ax, _bubble(e, a, b),
-                          _bubble_anti(e, a, b)))
+        tol = 1e-9 * h
+        es = np.where(np.abs(e - a) <= tol, a,
+                      np.where(np.abs(e - b) <= tol, b, e))
+        P.append(np.where(orient == ax, _bubble(es, a, b),
+                          _bubble_anti(es, a, b)))
         meets = meets & (a[:, 0] < e[-1]) & (b[:, 0] > e[0])
     D = np.diff(np.diff(np.pad(u.values.reshape(n, n), 1), axis=1), axis=0)
     return np.where(meets, np.einsum("ma,ab,mb->m", P[0], D, P[1]), 0.0)
@@ -232,16 +240,16 @@ def neg_norm_lower(u, A, family):
     return float(ratios[witness]), witness
 
 
-def neg_norm_upper(u, A, C2=1.0):
-    """2 C2 ||u - mean||, the elementary upper estimate."""
+def neg_norm_upper(u, A):
+    """2 ||u - mean||, the elementary upper estimate."""
     w = u.mean_zero_project()
-    return 2.0 * C2 * luxemburg_norm(w, A)
+    return 2.0 * luxemburg_norm(w, A)
 
 
-def two_sided_check(u, A, B, family, C2=1.0):
+def two_sided_check(u, A, B, family):
     """Lower/upper data for the pair (A, B) on one field.
 
-    r_high = lower / ||u - mean||_A is certified to stay below 2 C2 for
+    r_high = lower / ||u - mean||_A is certified to stay below 2 for
     any family (the lower bound underestimates the sup); r_low is only
     meaningful across a corpus and is reported, not asserted.  An
     inadmissible pair flags the report instead of asserting anything.
@@ -253,7 +261,7 @@ def two_sided_check(u, A, B, family, C2=1.0):
     nB = luxemburg_norm(w, B)
     return {
         "lower": lower,
-        "upper": 2.0 * C2 * nA,
+        "upper": 2.0 * nA,
         "witness": witness,
         "r_low": lower / nB if nB > 0 else math.inf,
         "r_high": lower / nA if nA > 0 else math.inf,

@@ -152,17 +152,17 @@ class SampledField:
     # -- construction and serialization --------------------------------
 
     @staticmethod
-    def from_grid(values, h, origin=(0.0, 0.0), gradient=None):
+    def from_grid(values, h, gradient=None):
         """Cell field on a uniform grid of spacing ``h``.
 
         ``values[i, j]`` is the sample at centroid
-        (origin + (i + 1/2) h, origin + (j + 1/2) h); trailing axes beyond
-        the first two are the component axes.
+        ((i + 1/2) h, (j + 1/2) h); trailing axes beyond the first two
+        are the component axes.
         """
         values = np.asarray(values, dtype=float)
         nx, ny = values.shape[:2]
-        xs = origin[0] + (np.arange(nx) + 0.5) * h
-        ys = origin[1] + (np.arange(ny) + 0.5) * h
+        xs = (np.arange(nx) + 0.5) * h
+        ys = (np.arange(ny) + 0.5) * h
         cx, cy = np.meshgrid(xs, ys, indexing="ij")
         cent = np.column_stack([cx.ravel(), cy.ravel()])
         meas = np.full(nx * ny, h * h)
@@ -459,7 +459,7 @@ def pairing(u, v):
     return _fsum(u.measures * prods)
 
 
-def holder_pairing_check(u, v, A, quantiles=(1.0, 0.999, 0.9, 0.5)):
+def holder_pairing_check(u, v, A):
     """Check integral |u.v| <= 2 ||u||_A ||v||_Atilde and bracket the dual norm.
 
     The duality witnesses are the classical equality candidate
@@ -498,7 +498,7 @@ def holder_pairing_check(u, v, A, quantiles=(1.0, 0.999, 0.9, 0.5)):
         witnesses.append(v.with_values(dens.reshape((-1,) + (1,) * v.rank) * shaped
                                        if v.rank else dens * shaped))
     vmax = float(np.max(vm))
-    for q in quantiles:
+    for q in (1.0, 0.999, 0.9, 0.5):
         mask = vm >= q * vmax - 1e-300
         witnesses.append(v.with_values(
             np.where(mask.reshape((-1,) + (1,) * v.rank) if v.rank else mask,
@@ -602,11 +602,11 @@ class HardyProfile:
             total += F(b, c, d, e) - lo
         return total
 
-    def step_bounds(self, refine=128, eps_frac=1e-9):
+    def step_bounds(self, refine=128):
         """Non-increasing step minorant and majorant (lower, upper).
 
         Each cell is subdivided geometrically.  If the profile diverges
-        at 0 the first subcell starts at eps_frac * T and the majorant is
+        at 0 the first subcell starts at eps = 1e-9 T and the majorant is
         only a majorant on (eps, T]; callers comparing norms against a
         calibrated constant absorb the truncation.
         """
@@ -621,7 +621,7 @@ class HardyProfile:
                     a_eff = b  # left sample equals the constant
                     left_first = c
                 else:
-                    a_eff = eps_frac * self.total
+                    a_eff = 1e-9 * self.total
                     sub = np.geomspace(a_eff, b, refine + 1)[1:]
                     left_first = self._eval_with(np.array([k]), np.array([a_eff]))[0]
             else:

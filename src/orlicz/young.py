@@ -44,6 +44,9 @@ _BISECT_LO = 1e-18
 _BISECT_HI = 1e18
 _BISECT_ITERS = 90
 
+# abscissae of the balance and domination scans over [GRID_MIN, GRID_MAX]
+_SCAN_POINTS = 240
+
 _CONJ_TABLE_POINTS = 16384
 _CONJ_TABLE_LO = 1e-9
 _CONJ_TABLE_HI = 1e9
@@ -54,9 +57,9 @@ _U_SAFE = 650.0
 _U_MAX = 1e8
 
 
-def default_grid(lo=GRID_MIN, hi=GRID_MAX, points=GRID_POINTS):
+def default_grid():
     """Geometric sample grid shared by all tabulated representations."""
-    return np.geomspace(lo, hi, points)
+    return np.geomspace(GRID_MIN, GRID_MAX, GRID_POINTS)
 
 
 def _bisect_boundary_log(pred_u, shape, lo=-745.0, hi=_U_MAX):
@@ -67,6 +70,9 @@ def _bisect_boundary_log(pred_u, shape, lo=-745.0, hi=_U_MAX):
     side, so the search can range over magnitudes whose exponential
     would overflow.  Points where pred_u is False already at lo come
     back as -inf, points where it still holds at hi come back as +inf.
+    Once every midpoint equals an end of its bracket, no later step
+    changes it, so the search stops there with the result of all
+    _BISECT_ITERS steps.
     """
     lo_arr = np.full(shape, float(lo))
     hi_arr = np.full(shape, float(hi))
@@ -74,6 +80,8 @@ def _bisect_boundary_log(pred_u, shape, lo=-745.0, hi=_U_MAX):
     ok_hi = pred_u(hi_arr)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo_arr + hi_arr)
+        if np.all((mid == lo_arr) | (mid == hi_arr)):
+            break
         good = pred_u(mid)
         lo_arr = np.where(good, mid, lo_arr)
         hi_arr = np.where(good, hi_arr, mid)
@@ -207,17 +215,14 @@ class YoungFunction:
         """Right-continuous inverse sup{s : A(s) <= r}.
 
         Ties over a flat zero stretch resolve to the right endpoint, so
-        e.g. the capped kind returns its threshold for every finite r.
+        e.g. the capped kind returns its threshold for every finite r;
+        at r = 0 the test log A(s) <= -inf finds the end of A's zero set.
         """
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r, float))
         with np.errstate(divide="ignore"):
             logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), -np.inf)
         out = _bisect_boundary(lambda s: self.log_eval(s) <= logr, r.shape)
-        if np.any(r == 0):
-            zero_edge = _bisect_boundary(
-                lambda s: np.isneginf(self.log_eval(s)), r.shape)
-            out = np.where(r == 0, zero_edge, out)
         return float(out[0]) if scalar else out
 
     def inverse_left(self, r):
@@ -288,8 +293,7 @@ class YoungFunction:
             lv = _table_lookup(x, coef, np.clip(xs, x[0], x[-1]))
             outside = (xs < x[0]) | (xs > x[-1])
             if np.any(outside):
-                lv = np.where(outside,
-                              _conj_log_eval_exact(self.base, sp), lv)
+                lv[outside] = _conj_log_eval_exact(self.base, sp[outside])
             out[pos] = lv
         return out
 
@@ -633,13 +637,6 @@ def _flip_tabulated(A):
 # numeric conjugation
 
 
-def _invert_density(A, sigma):
-    """Left-continuous generalized inverse of the density of A."""
-    sigma = np.asarray(sigma, float)
-    pred = lambda t: A.density(t) < sigma
-    return _bisect_boundary(pred, sigma.shape)
-
-
 def _invert_density_logdomain(A, sigma):
     """log of the density inverse, searched in the log variable.
 
@@ -661,21 +658,6 @@ def _invert_density_logdomain(A, sigma):
         return np.repeat(dens, runs).reshape(u.shape) < sigma
 
     return _bisect_boundary_log(pred_u, sigma.shape)
-
-
-def _invert_density_logsigma(A, logsigma):
-    """Density inverse with the target given in log form.
-
-    Serves as density_logarg of the conjugate: the conjugate density at
-    e^u is a^{-1}(e^u), well-defined even where e^u overflows.
-    """
-    logsigma = np.asarray(logsigma, float)
-
-    def pred(t):
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.log(A.density(t)) < logsigma
-
-    return _bisect_boundary(pred, logsigma.shape)
 
 
 def _conj_log_eval_exact(A, s):
@@ -765,8 +747,17 @@ def _table_lookup(x, coef, xs):
 
 
 def _numeric_conjugate(A):
-    dens = lambda sigma: _invert_density(A, sigma)
-    dens_logarg = lambda u: _invert_density_logsigma(A, u)
+    # the conjugate density is the left-continuous inverse of A's; at e^u
+    # it is a^{-1}(e^u), bisected against log a, so e^u may overflow
+    def dens(sigma):
+        return _bisect_boundary(lambda t: A.density(t) < sigma, sigma.shape)
+
+    def dens_logarg(u):
+        def pred(t):
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.log(A.density(t)) < u
+        return _bisect_boundary(pred, u.shape)
+
     return YoungFunction("conjugate", (), dens, None, base=A,
                          logarg_density_fn=dens_logarg)
 
@@ -1059,7 +1050,7 @@ def _one_side(envelope, t_grid, cum_log, log_tail, k0):
     return _sup_with_guard(c, t_grid[k0:], check_bottom=False), c
 
 
-def check_balance(A, B, t_range=None, n_t=240, t0=None):
+def check_balance(A, B, t0=None):
     """Least constants in the two balance conditions for the pair (A, B).
 
     Scans thresholds from zero upward and reports the first at which
@@ -1067,15 +1058,14 @@ def check_balance(A, B, t_range=None, n_t=240, t0=None):
     reports infinite constants.  Passing t0 pins the threshold instead
     of scanning (useful for symmetry checks).
     """
-    lo, hi = t_range if t_range is not None else (GRID_MIN, GRID_MAX)
-    t_grid = np.geomspace(lo, hi, n_t)
+    t_grid = np.geomspace(GRID_MIN, GRID_MAX, _SCAN_POINTS)
     A_t = A.conjugate()
     B_t = B.conjugate()
 
     cum1 = _cumulative_log_integral(B, t_grid)
     cum2 = _cumulative_log_integral(A_t, t_grid)
-    tail1 = _log_tail_below(B, lo)
-    tail2 = _log_tail_below(A_t, lo)
+    tail1 = _log_tail_below(B, GRID_MIN)
+    tail2 = _log_tail_below(A_t, GRID_MIN)
 
     if t0 is not None:
         k0 = -1 if t0 == 0.0 else int(np.searchsorted(t_grid, t0 * (1 - 1e-12)))
@@ -1085,7 +1075,7 @@ def check_balance(A, B, t_range=None, n_t=240, t0=None):
                              bool(np.isfinite(c11) and np.isfinite(c12)),
                              t_grid, curve1, curve2)
 
-    for k0 in [-1] + list(range(0, n_t - 8, 4)):
+    for k0 in [-1] + list(range(0, _SCAN_POINTS - 8, 4)):
         c11, curve1 = _one_side(A, t_grid, cum1, tail1, k0)
         if not np.isfinite(c11):
             continue
@@ -1117,9 +1107,9 @@ class DominationReport:
                 "s0": self.s0}
 
 
-def dominates(A, B, n_s=240):
+def dominates(A, B):
     """Least C with B(s) <= A(C s), globally or near infinity."""
-    s = np.geomspace(GRID_MIN, GRID_MAX, n_s)
+    s = np.geomspace(GRID_MIN, GRID_MAX, _SCAN_POINTS)
     logB = B.log_eval(s)
     C = _least_c_curve_log(A, logB, s)
     sup = _sup_with_guard(C, s, check_bottom=True)

@@ -34,7 +34,7 @@ from orlicz.bogovskii import (
 from orlicz.spaces import luxemburg_norm
 from orlicz.young import power, zygmund
 
-DISK = StarDomain.disk(radius=1.0, n_vertices=96, ball_frac=0.5)
+DISK = StarDomain.disk(radius=1.0)
 
 
 def kink(X, Y):
@@ -249,7 +249,7 @@ def test_field_is_identical_across_blas_threads(tmp_path):
         "import sys, numpy as np\n"
         "from orlicz.bogovskii import StarDomain, bogovskii_field, "
         "grid_field\n"
-        "D = StarDomain.disk(radius=1.0, n_vertices=96, ball_frac=0.5)\n"
+        "D = StarDomain.disk(radius=1.0)\n"
         "f = grid_field(D, lambda X, Y: np.sqrt(X**2 + Y**2) - 2/3, 16)\n"
         "np.save(sys.argv[1], bogovskii_field(f, D)['u'].values)\n")
     src = str(Path(bogovskii.__file__).resolve().parents[1])

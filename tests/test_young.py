@@ -215,18 +215,82 @@ def test_conjugate_table_lookup_matches_pchip(spec, monkeypatch):
     assert np.array_equal(lv[keep], oracle(xs[keep]))
 
 
+def _fixed_step_bisection(pred_u, shape, lo=-745.0, hi=young._U_MAX):
+    """young._bisect_boundary_log without its early stop: always
+    young._BISECT_ITERS steps, each probing every target."""
+    lo_arr = np.full(shape, float(lo))
+    hi_arr = np.full(shape, float(hi))
+    ok_lo = pred_u(lo_arr)
+    ok_hi = pred_u(hi_arr)
+    for _ in range(young._BISECT_ITERS):
+        mid = 0.5 * (lo_arr + hi_arr)
+        good = pred_u(mid)
+        lo_arr = np.where(good, mid, lo_arr)
+        hi_arr = np.where(good, hi_arr, mid)
+    out = np.where(ok_lo, 0.5 * (lo_arr + hi_arr), -np.inf)
+    return np.where(ok_hi, np.inf, out)
+
+
 @pytest.mark.parametrize("spec", ["zygmund:1:1", "exp:0.5", "eyring"])
-def test_density_inverse_matches_plain_bisection(spec):
+def test_density_inverse_matches_plain_bisection(spec, monkeypatch):
     # one density evaluation per run of equal midpoints must return what
     # probing every target returns, for sorted and shuffled targets;
-    # pairs of targets a few ulps apart share a bracket until late steps
-    A = parse_young(spec)
+    # pairs of targets a few ulps apart share a bracket until late steps.
+    # The bisections stop once every bracket is two adjacent doubles, so
+    # the inverses (r = 0 included), the conjugate's densities and its
+    # table must also come out bit for bit as after all the fixed steps
     base = np.geomspace(1e-9, 600.0, 1000)
     sigma = np.ravel([base, base * (1.0 + 1e-14)], order="F")
     sigma = np.stack([sigma, np.random.default_rng(3).permutation(sigma)])
-    plain = young._bisect_boundary_log(
+    r = np.concatenate([[0.0, 1e-300], np.geomspace(1e-12, 1e12, 49),
+                        [np.inf]])
+    logs = np.linspace(-40.0, 800.0, 43)
+    A = parse_young(spec)
+    plain = _fixed_step_bisection(
         lambda u: A.density_logarg(u) < sigma, sigma.shape)
     assert np.array_equal(young._invert_density_logdomain(A, sigma), plain)
+
+    def outputs():
+        A = parse_young(spec)
+        C = A.conjugate()
+        C.log_eval(1.0)
+        x, coef, s_zero = C._table
+        return [A.inverse(r), A.inverse_left(r), C.density(base),
+                C.density_logarg(logs), C.inverse(r), x, coef,
+                np.array(s_zero)]
+
+    early = outputs()
+    monkeypatch.setattr(young, "_bisect_boundary_log", _fixed_step_bisection)
+    for got, want in zip(early, outputs()):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_only_out_of_table_points_take_the_exact_formula(monkeypatch):
+    # a call that crosses the table ends hands the Legendre formula only
+    # its out-of-table points, and every point comes out as on its own
+    C = zygmund(1, 1).conjugate()
+    C.log_eval(1.0)
+    x, _, s_zero = C._table
+    lo, hi = s_zero + math.exp(x[0]), s_zero + math.exp(x[-1])
+    s = np.concatenate([np.geomspace(lo * 1e-3, lo, 30, endpoint=False),
+                        np.geomspace(lo, hi, 200),
+                        np.geomspace(hi * 1.001, hi * 1.3, 20),
+                        [s_zero, 0.0]])
+    s = np.random.default_rng(4).permutation(s)
+    xs = np.log(np.maximum(s - s_zero, 1e-300))
+    outside = (s > s_zero) & ((xs < x[0]) | (xs > x[-1]))
+    seen = []
+    exact = young._conj_log_eval_exact
+
+    def recording(A, pts):
+        seen.append(np.array(pts))
+        return exact(A, pts)
+
+    monkeypatch.setattr(young, "_conj_log_eval_exact", recording)
+    lv = C.log_eval(s)
+    assert len(seen) == 1 and np.array_equal(seen[0], s[outside])
+    one = np.array([C.log_eval(np.array([v]))[0] for v in s])
+    assert lv.tobytes() == one.tobytes()
 
 
 def test_numeric_conjugate_leaves_no_reference_cycle():
