@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orlicz.spaces import SampledField, grid_gradient, luxemburg_norm, modular, \
-    rearrange, rearrangement_bound_rhs
+from orlicz.spaces import SampledField, grid_gradient, modular, rearrange, \
+    rearrangement_bound_rhs, square_grid
 from orlicz.young import YoungFunction
 
 __all__ = [
@@ -224,17 +224,18 @@ def grid_field(D, fn, n, bbox=None):
     return SampledField(cent, meas, vals)
 
 
-def _grid_shape(u):
-    n = int(round(math.sqrt(u.n_cells)))
-    if n * n != u.n_cells:
-        raise ValueError("field is not on a square grid")
-    return n
+def _grid_step(f, what):
+    """(n, h) of a field on an n-by-n grid of square h-by-h cells.
 
-
-def _grid_spacing(u):
-    n = _grid_shape(u)
-    xs = np.unique(u.centroids[:, 0])
-    return float(xs[1] - xs[0]) if xs.size > 1 else 1.0
+    The layout is read by :func:`orlicz.spaces.square_grid`; a y spacing
+    off the x spacing by more than its 1e-6 relative tolerance raises
+    ValueError naming ``what`` as well.
+    """
+    n, xs, ys = square_grid(f, what)
+    h = float(xs[1] - xs[0])
+    if abs(ys[1] - ys[0] - h) > 1e-6 * h:
+        raise ValueError("%s needs square grid cells" % what)
+    return n, h
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +347,22 @@ def _singular_cells(X, C, h, D):
     return -dtheta * np.einsum("sm,mc->sc", radial, n_dir)
 
 
-def _field_at(f, D, X):
+def _field_at(f, D, X, h):
     """The solution field at the rows of X, a (T, 2) array of points.
 
-    f is a mean-zero clipped grid field.  Targets go in blocks sized by
-    _PAIR_BLOCK.  Per block, cells more than _NEAR_RADIUS + 1/2 spacings
-    away (Chebyshev) take the midpoint rule in one (B x N) evaluation;
-    nearer cells take the refined midpoint rule, gathered as (pairs x
-    subcells) and summed per target with np.bincount; the cell holding
-    a target takes the polar rule.  The sums avoid BLAS, so the result
-    does not depend on its thread count.
+    f is a mean-zero clipped grid field of spacing h.  Targets go in
+    blocks sized by _PAIR_BLOCK.  Per block, cells more than
+    _NEAR_RADIUS + 1/2 spacings away (Chebyshev) take the midpoint rule
+    in one (B x N) evaluation; nearer cells take the refined midpoint
+    rule, gathered as (pairs x subcells) and summed per target with
+    np.bincount; the cell holding a target takes the polar rule.  The
+    sums avoid BLAS, so the result does not depend on its thread count.
     """
     X = np.asarray(X, dtype=float)
     U = np.zeros((X.shape[0], 2))
     act = np.nonzero((f.measures > 0) & (f.values != 0))[0]
     if act.size == 0:
         return U
-    h = _grid_spacing(f)
     Y, meas, vals = f.centroids[act], f.measures[act], f.values[act]
     Yc = np.ascontiguousarray(Y.T)
     w = meas * vals
@@ -421,10 +421,10 @@ def bogovskii_apply(f, x, D, report=None):
     its own cell is nudged toward the cell centroid by h * 1e-6 and the
     shift is recorded in the report dict when one is supplied.
     """
+    _, h = _grid_step(f, "bogovskii_apply")
     if report is None:
         report = {}
     f = _project_mean_zero(f, report)
-    h = _grid_spacing(f)
     cent = f.centroids
     x = np.asarray(x, dtype=float)
 
@@ -436,7 +436,7 @@ def bogovskii_apply(f, x, D, report=None):
         if np.any(off < 1e-12 * h):
             x = x + 1e-6 * h * np.sign(cent[own] - x + 1e-300)
             report["shifted"] = float(1e-6 * h)
-    return _field_at(f, D, x[None, :])[0]
+    return _field_at(f, D, x[None, :], h)[0]
 
 
 def _erode(inside, rings=2):
@@ -465,6 +465,22 @@ def _div_residual(div, fv, interior):
     return num / den if den > 0 else 0.0
 
 
+def _divergence_check(U, f, n, h):
+    """Finite differences of the cell vector field U against f.
+
+    Returns the (n, n, 2, 2) gradient, [i,j] = d u_i/d x_j, the
+    divergence, f's inside cells, their interior (eroded by two rings,
+    see _erode) and the relative L2 residual of div U - f there, all on
+    f's n-by-n grid of spacing h.
+    """
+    grad = grid_gradient(U.reshape(n, n, 2), h)
+    div = grad[..., 0, 0] + grad[..., 1, 1]
+    inside = (f.measures > 0).reshape(n, n)
+    interior = _erode(inside)
+    residual = _div_residual(div, f.values.reshape(n, n), interior)
+    return grad, div, inside, interior, residual
+
+
 def bogovskii_field(f, D):
     """Solution field, gradient and divergence on f's own grid.
 
@@ -474,25 +490,17 @@ def bogovskii_field(f, D):
     two rings, see _erode), and the boundary-adjacent |u| statistics
     used by the zero-trace check.
     """
+    n, h = _grid_step(f, "bogovskii_field")
     report = {}
     f = _project_mean_zero(f, report)
-    n = _grid_shape(f)
-    h = _grid_spacing(f)
     cent = f.centroids
-    U = _field_at(f, D, cent)
+    U = _field_at(f, D, cent, h)
     u_field = SampledField(cent, f.measures, U)
-
-    ug = U.reshape(n, n, 2)
-    grad = grid_gradient(ug, h)          # (n, n, 2, 2), [i,j] = d u_i/d x_j
-    div = grad[..., 0, 0] + grad[..., 1, 1]
-    inside = (f.measures > 0).reshape(n, n)
-    interior = _erode(inside)
-    fv = f.values.reshape(n, n)
-    residual = _div_residual(div, fv, interior)
+    grad, div, inside, interior, residual = _divergence_check(U, f, n, h)
 
     # |u| on the ring of inside cells touching the staircase boundary
     rim = inside & ~_erode(inside, rings=1)
-    umag = np.sqrt(np.sum(ug ** 2, axis=-1))
+    umag = np.sqrt(np.sum(U.reshape(n, n, 2) ** 2, axis=-1))
     gmag = np.sqrt(np.sum(grad ** 2, axis=(-2, -1)))
     rim_u = float(np.mean(umag[rim])) if np.any(rim) else 0.0
     interior_scale = h * float(np.mean(gmag[interior])) if np.any(
@@ -567,6 +575,19 @@ def check_rearrangement_estimate(f, gradient_field, C, n_s=100):
 # decomposition of the density
 
 
+def _memberships(f, dec):
+    """Each subdomain's cells and G_i, the cells of the later ones.
+
+    Two lists of boolean masks over f's cells in subdomain order; the
+    last subdomain's G is empty.
+    """
+    inside = [D.contains(f.centroids) for D in dec.subdomains]
+    later = [np.zeros(f.n_cells, dtype=bool)]
+    for ind in inside[:0:-1]:
+        later.insert(0, later[0] | ind)
+    return inside, later
+
+
 def split_function(f, dec):
     """Split a mean-zero density along the decomposition.
 
@@ -579,23 +600,14 @@ def split_function(f, dec):
     """
     report = {}
     f = _project_mean_zero(f, report)
-    doms = dec.subdomains
-    N = len(doms)
-    inside = [D.contains(f.centroids) for D in doms]
-    covered = np.zeros(f.n_cells, dtype=bool)
-    for ind in inside:
-        covered |= ind
+    inside, unions = _memberships(f, dec)
+    N = len(inside)
+    covered = inside[0] | unions[0]
     if np.any((f.measures > 0) & (f.values != 0) & ~covered):
         raise ValueError("f has support outside the decomposition")
     if N == 1:
         return [SampledField(f.centroids, f.measures,
                              np.where(f.measures > 0, f.values, 0.0))]
-
-    g_union = inside[-1].copy()
-    unions = [None] * N          # unions[i] = indicator of G_i (0-based i)
-    for i in range(N - 2, -1, -1):
-        unions[i] = g_union.copy()
-        g_union |= inside[i]
 
     m = f.measures
     # zero-measure ghost cells carry no information; normalize them so
@@ -628,15 +640,9 @@ def decomposition_norm_bound(f, dec):
     ratios are measure ratios, so one bound serves every norm that is
     monotone under restriction and constant-shift, per piece.
     """
-    doms = dec.subdomains
-    N = len(doms)
     m = f.measures
-    inside = [D.contains(f.centroids) for D in doms]
-    g_union = inside[-1].copy()
-    unions = [None] * N
-    for i in range(N - 2, -1, -1):
-        unions[i] = g_union.copy()
-        g_union |= inside[i]
+    inside, unions = _memberships(f, dec)
+    N = len(inside)
     bounds = []
     running = 1.0
     for i in range(N):
@@ -661,6 +667,7 @@ def bogovskii_general(f, dec):
     each subdomain (the per-subdomain residuals are the meaningful ones
     near the junctions, where the union's staircase is the roughest).
     """
+    n, h = _grid_step(f, "bogovskii_general")
     pieces = split_function(f, dec)
     total = np.zeros((f.n_cells, 2))
     sub_reports = []
@@ -670,13 +677,7 @@ def bogovskii_general(f, dec):
         total += rep["u"].values
     u_field = SampledField(f.centroids, f.measures, total)
 
-    n = _grid_shape(f)
-    h = _grid_spacing(f)
-    grad = grid_gradient(total.reshape(n, n, 2), h)
-    div = grad[..., 0, 0] + grad[..., 1, 1]
-    fv = f.values.reshape(n, n)
-    inside = (f.measures > 0).reshape(n, n)
-    interior = _erode(inside)
+    _, div, inside, interior, residual = _divergence_check(total, f, n, h)
 
     # Per-subdomain consistency of each piece's solve.  The pieces are
     # only piecewise smooth (the recursion adds indicator-weighted
@@ -684,7 +685,7 @@ def bogovskii_general(f, dec):
     # divergence at a jump of the target, so each residual is measured
     # on the smoothness regions of the piece: cells grouped by their
     # membership pattern across all subdomains, each group eroded.
-    memberships = [D.contains(f.centroids) for D in dec.subdomains]
+    memberships, _ = _memberships(f, dec)
     region_id = np.zeros(f.n_cells, dtype=np.int64)
     for j, ind in enumerate(memberships):
         region_id += ind.astype(np.int64) << j
@@ -702,7 +703,7 @@ def bogovskii_general(f, dec):
         "pieces": pieces,
         "sub_reports": sub_reports,
         "divergence": SampledField(f.centroids, f.measures, div.reshape(-1)),
-        "div_residual": _div_residual(div, fv, interior),
+        "div_residual": residual,
         "div_residual_per_subdomain": per_sub,
         "interior_mask": interior.reshape(-1),
     }

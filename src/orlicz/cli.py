@@ -547,8 +547,9 @@ def _drive_fem_infsup(p, out):
 def _drive_fem_pressure(p, out):
     A, B = young.parse_pair(p["pair"])
     if p["law"] is None:
-        hs = [h for h, _, _ in _mesh_plan(p["mesh"])]
-        rows = fem.pressure_error_study(_pi_expr(p["pi"]), hs, A, B)
+        pi = _pi_expr(p["pi"])
+        rows = [{"h": h, **fem.pressure_error_row(pi, V, A, B)}
+                for h, V in _spaces(p)]
         table = [(r["h"], r["error"], r["best"], r["ratio"],
                   r["stability"], r["residual"]) for r in rows]
         ratios = [r["ratio"] for r in rows]
@@ -1079,9 +1080,6 @@ EXPERIMENTS = {
                        law=(None, lambda v, name: v if v is None
                             else _law(v, name)),
                        pi=("sinsin", _choice("sinsin", *_expressions()))),
-        "rules": [("mesh", lambda q: q["law"] is not None
-                   or q["mesh"].startswith("square:"),
-                   "the pressure study needs square:H[,H...]")],
     },
     "fem_projection": {
         "driver": _drive_fem_projection,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from orlicz.spaces import SampledField, luxemburg_norm, pairing
+from orlicz.spaces import SampledField, luxemburg_norm, pairing, square_grid
 from orlicz.young import check_balance, young_to_json
 
 __all__ = [
@@ -61,28 +61,6 @@ def _bubble_anti(t, a, b):
     c = b - a
     s = np.clip(t - a, 0.0, c)
     return c * c * s ** 3 / 3.0 - c * s ** 4 / 2.0 + s ** 5 / 5.0
-
-
-def _square_grid(u, what):
-    """(n, xs, ys) of a field on a uniform square n-by-n grid, n >= 2.
-
-    Cell i * n + j must sit at (xs[i], ys[j]) with xs and ys increasing
-    (row-major order); anything else raises ValueError naming ``what``.
-    """
-    n = int(round(math.sqrt(u.n_cells)))
-    if n < 2 or n * n != u.n_cells:
-        raise ValueError("%s needs a square-grid field" % what)
-    cent = u.centroids
-    xs = cent[::n, 0]
-    ys = cent[:n, 1]
-    if not (np.array_equal(cent[:, 0], np.repeat(xs, n))
-            and np.array_equal(cent[:, 1], np.tile(ys, n))):
-        raise ValueError("%s needs row-major grid ordering" % what)
-    for c in (xs, ys):
-        d = np.diff(c)
-        if not (d[0] > 0.0 and np.all(np.abs(d - d[0]) <= 1e-6 * d[0])):
-            raise ValueError("%s needs a uniform increasing grid" % what)
-    return n, xs, ys
 
 
 @dataclass(frozen=True)
@@ -202,7 +180,7 @@ def _pairings(members, u):
     no BLAS, so its bits do not depend on the thread count.  A member
     whose box misses the grid pairs to exactly 0.
     """
-    n, xs, ys = _square_grid(u, "pairing")
+    n, xs, ys = square_grid(u, "pairing")
     lo, hi = (np.array([getattr(m, end) for m in members])
               for end in ("lo", "hi"))
     orient = np.array([m.orient for m in members])[:, None]
@@ -282,14 +260,15 @@ def _mollify(v, radius):
     w_ij = ((1 - |x_i - x_j|^2/r^2)_+)^4 and cell measures m_j, so
     constants are reproduced exactly and the sup norm never grows.
 
-    ``v`` must live on a uniform square row-major grid (ValueError
-    otherwise).  The bump is then one stencil of at most n - 1 cells
-    each way, and both sums are zero-padded FFT correlations with it.
+    ``v`` must live on a uniform square row-major grid, as
+    :func:`orlicz.spaces.square_grid` reads it (ValueError otherwise).
+    The bump is then one stencil of at most n - 1 cells each way, and
+    both sums are zero-padded FFT correlations with it.
     A cell with no nonzero value within reach is an exact zero: the
     correlation of the nonzero indicator with the disc footprint counts
     those values, and an integer count rounds exactly.
     """
-    n, xs, ys = _square_grid(v, "mollification")
+    n, xs, ys = square_grid(v, "mollification")
     vals = v.values.reshape(n, n)
     meas = v.measures.reshape(n, n)
     r2 = radius * radius
@@ -325,12 +304,12 @@ def sup_approx_convergence(v, A, K=32, probe=None):
     when one is given.
 
     ``v`` must be a scalar field on a uniform square row-major grid,
-    as :meth:`TestFamily.pairing` requires, and K an integer >= 1;
-    anything else raises ValueError.
+    as :func:`orlicz.spaces.square_grid` reads it, and K an integer
+    >= 1; anything else raises ValueError.
     """
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise ValueError("K must be an integer >= 1, got %r" % (K,))
-    n, _, _ = _square_grid(v, "sup_approx_convergence")
+    n, _, _ = square_grid(v, "sup_approx_convergence")
     Atilde = A.conjugate()
     target = luxemburg_norm(v, Atilde)
     cent = v.centroids

@@ -42,6 +42,7 @@ __all__ = [
     "rearrangement_bound_rhs",
     "poincare_check",
     "grid_gradient",
+    "square_grid",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -205,6 +206,28 @@ def grid_gradient(values, h):
     gx = np.gradient(values, h, axis=0)
     gy = np.gradient(values, h, axis=1)
     return np.stack([gx, gy], axis=-1)
+
+
+def square_grid(u, what):
+    """(n, xs, ys) of a field on a uniform square n-by-n grid, n >= 2.
+
+    Cell i * n + j must sit at (xs[i], ys[j]) with xs and ys increasing
+    (row-major order); anything else raises ValueError naming ``what``.
+    """
+    n = int(round(math.sqrt(u.n_cells)))
+    if n < 2 or n * n != u.n_cells:
+        raise ValueError("%s needs a square-grid field" % what)
+    cent = u.centroids
+    xs = cent[::n, 0]
+    ys = cent[:n, 1]
+    if not (np.array_equal(cent[:, 0], np.repeat(xs, n))
+            and np.array_equal(cent[:, 1], np.tile(ys, n))):
+        raise ValueError("%s needs row-major grid ordering" % what)
+    for c in (xs, ys):
+        d = np.diff(c)
+        if not (d[0] > 0.0 and np.all(np.abs(d - d[0]) <= 1e-6 * d[0])):
+            raise ValueError("%s needs a uniform increasing grid" % what)
+    return n, xs, ys
 
 
 def field_to_csv(u, path):

@@ -768,18 +768,19 @@ def _numeric_conjugate(A):
 
 @dataclass(frozen=True)
 class GrowthClass:
-    """Result of a doubling-condition test.
+    """Result of a doubling-condition test or a domination comparison.
 
-    verdict is "global", "near_infinity" or "fails"; constant is the
-    measured doubling constant over the certified range, s0 the lower
-    threshold for the near-infinity verdict (0 for global).
+    verdict is "global", "near_infinity" or, when the condition fails,
+    "fails" (doubling) or "no" (domination); constant is the measured
+    constant over the certified range, s0 the lower threshold for the
+    near-infinity verdict (0 for global).
     """
     verdict: str
     constant: float
     s0: float
 
     def holds(self):
-        return self.verdict != "fails"
+        return self.verdict in ("global", "near_infinity")
 
     def to_dict(self):
         return {"verdict": self.verdict, "constant": self.constant,
@@ -993,8 +994,7 @@ def _log_sub(la, lb):
         diff = np.exp(np.minimum(lb - la, 0.0))
         out = la + np.log1p(-np.where(diff >= 1.0, 1.0, diff))
     out = np.where(np.isneginf(lb), la, out)
-    out = np.where(np.isposinf(la), np.inf, out)
-    out = np.where(la <= lb, -np.inf, np.where(np.isposinf(la), np.inf, out))
+    out = np.where(la <= lb, -np.inf, out)
     out = np.where(np.isposinf(la), np.inf, out)
     return out
 
@@ -1092,46 +1092,32 @@ def check_balance(A, B, t0=None):
 # domination
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    """Outcome of the pointwise comparison B(s) <= A(C s)."""
-    verdict: str          # "global" | "near_infinity" | "no"
-    constant: float
-    s0: float
-
-    def holds(self):
-        return self.verdict != "no"
-
-    def to_dict(self):
-        return {"verdict": self.verdict, "constant": self.constant,
-                "s0": self.s0}
-
-
 def dominates(A, B):
-    """Least C with B(s) <= A(C s), globally or near infinity."""
+    """Least C with B(s) <= A(C s), globally or near infinity, as a
+    GrowthClass whose verdict is "no" when neither holds."""
     s = np.geomspace(GRID_MIN, GRID_MAX, _SCAN_POINTS)
     logB = B.log_eval(s)
     C = _least_c_curve_log(A, logB, s)
     sup = _sup_with_guard(C, s, check_bottom=True)
     if np.isfinite(sup):
-        return DominationReport("global", sup, 0.0)
+        return GrowthClass("global", sup, 0.0)
     bad = np.where(~np.isfinite(C))[0]
     start = int(bad.max()) + 1 if bad.size else 0
     if start >= s.size:
-        return DominationReport("no", math.inf, math.inf)
+        return GrowthClass("no", math.inf, math.inf)
     with np.errstate(divide="ignore"):
         logC = np.where(C > 0.0, np.log(np.maximum(C, 1e-300)), np.nan)
     if _diverges_top(s, logC):
-        return DominationReport("no", math.inf, math.inf)
+        return GrowthClass("no", math.inf, math.inf)
     top = s >= s[-1] / 100.0
     c_top = float(np.max(C[top])) if np.any(top) else float(C[-1])
     suffix_sup = np.maximum.accumulate(C[::-1])[::-1]
     ok = (np.arange(s.size) >= start) & (suffix_sup <= 2.0 * c_top)
     if not np.any(ok):
-        return DominationReport("near_infinity", float(suffix_sup[start]),
-                                float(s[start]))
+        return GrowthClass("near_infinity", float(suffix_sup[start]),
+                           float(s[start]))
     k = int(np.argmax(ok))
-    return DominationReport("near_infinity", float(suffix_sup[k]), float(s[k]))
+    return GrowthClass("near_infinity", float(suffix_sup[k]), float(s[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from orlicz.bogovskii import (
     grid_field,
     split_function,
 )
-from orlicz.spaces import luxemburg_norm
+from orlicz.spaces import SampledField, luxemburg_norm
 from orlicz.young import power, zygmund
 
 DISK = StarDomain.disk(radius=1.0)
@@ -198,6 +198,30 @@ def test_point_evaluation_is_continuous_inside_a_cell():
         for step in ([-1e-3, 0.0], [0.0, 1e-3], [7e-4, -7e-4]):
             u = bogovskii_apply(f, f.centroids[k] + h * np.array(step), DISK)
             assert np.max(np.abs(u - U[k])) <= 1e-2 * np.max(np.abs(U[k]))
+
+
+def _shuffled(f):
+    perm = np.random.default_rng(0).permutation(f.n_cells)
+    return SampledField(f.centroids[perm], f.measures[perm], f.values[perm])
+
+
+def _stretched_y(f):
+    cent = f.centroids.copy()
+    cent[:, 1] *= 2.0
+    return SampledField(cent, f.measures, f.values)
+
+
+@pytest.mark.parametrize("bend, why", [(_shuffled, "row-major"),
+                                       (_stretched_y, "square grid cells")])
+def test_solvers_need_a_grid_of_square_cells(bend, why):
+    # reshaped onto an n-by-n grid, either field would solve a wrong problem
+    f = bend(grid_field(DISK, kink, 16))
+    with pytest.raises(ValueError, match="bogovskii_field needs .*" + why):
+        bogovskii_field(f, DISK)
+    with pytest.raises(ValueError, match="bogovskii_apply needs .*" + why):
+        bogovskii_apply(f, [0.3, 0.1], DISK)
+    with pytest.raises(ValueError, match="bogovskii_general needs .*" + why):
+        bogovskii_general(f, DomainDecomposition([DISK]))
 
 
 def test_mean_projection_is_reported():
@@ -461,6 +485,34 @@ def test_norm_bound_matches_measured_sets():
     g1 = math.fsum(m[in2])
     assert abs(bounds[0] - (1 + 4 * w1 / ov)) < 1e-12
     assert abs(bounds[1] - (1 + 4 * max(1.0, g1 / ov))) < 1e-12
+
+
+def test_split_three_rectangles():
+    R3 = StarDomain.rectangle((0.3, 0.4), (1.0, 1.0))
+    dec = DomainDecomposition([R1, R2, R3])
+    f = grid_field(dec, lambda X, Y: X + np.sin(3 * Y), 32,
+                   bbox=((0, 0), (1, 1)))
+    pieces = split_function(f, dec)
+    assert len(pieces) == 3
+    target = np.where(f.measures > 0, f.values - f.mean(), 0.0)
+    total = pieces[0].values + pieces[1].values + pieces[2].values
+    assert np.max(np.abs(total - target)) < 1e-12
+    ins = [D.contains(f.centroids) for D in dec.subdomains]
+    for piece, ind in zip(pieces, ins):
+        assert abs(piece.mean()) < 1e-12
+        assert np.all(piece.values[~ind] == 0.0)
+
+    # G_i, the union of the later subdomains, cell by cell
+    G = [np.array([any(ins[j][c] for j in range(i + 1, 3))
+                   for c in range(f.n_cells)]) for i in range(2)]
+    m = f.measures
+    want, running = [], 1.0
+    for i in range(2):
+        over = math.fsum(m[ins[i] & G[i]])
+        want.append(running * (1 + 4 * math.fsum(m[ins[i]]) / over))
+        running *= 1 + 4 * max(1.0, math.fsum(m[G[i]]) / over)
+    want.append(running)
+    assert decomposition_norm_bound(f, dec) == pytest.approx(want, rel=1e-12)
 
 
 def test_general_operator_on_lshape():

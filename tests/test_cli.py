@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import corpus_fields
 
-from orlicz import cli, young
+from orlicz import bogovskii, cli, young
 from orlicz.spaces import SampledField, field_to_csv, luxemburg_norm
 
 INFSUP_H8 = 1.0153046023291719
@@ -110,6 +110,29 @@ def test_bogovskii_writes_field(tmp_path):
     header, rows = read_csv(tmp_path / "bg_field.csv")
     assert len(rows) == 16 * 16
     assert read_report(tmp_path, "bg")["data"]["div_residual"] < 0.1
+
+
+def test_bogovskii_rejects_shuffled_grid_csv(tmp_path, capsys):
+    # the kink density on the disk, written in grid order and shuffled;
+    # only the ordered file describes the field its rows are reshaped to
+    ordered = tmp_path / "ordered.csv"
+    field_to_csv(bogovskii.grid_field(bogovskii.StarDomain.disk(),
+                                      cli._expressions()["kink"], 16),
+                 ordered)
+    rows = ordered.read_text().splitlines()
+    perm = np.random.default_rng(0).permutation(len(rows) - 1)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([rows[0]] + [rows[1 + i] for i in perm])
+                        + "\n")
+    assert run_cli("bogovskii", "--f", str(ordered), "--grid", "16",
+                   "--out", str(tmp_path), "--id", "from_csv") == 0
+    assert run_cli("bogovskii", "--f", str(shuffled), "--grid", "16",
+                   "--out", str(tmp_path), "--id", "shuffled") == 1
+    rep = read_report(tmp_path, "shuffled")
+    assert rep["passed"] is False
+    assert "bogovskii_field" in rep["error"]
+    assert "row-major" in rep["error"]
+    assert "bogovskii_field" in capsys.readouterr().err
 
 
 def test_removed_quad_param_rejected(tmp_path, capsys):
@@ -323,6 +346,29 @@ def test_nonpositive_mesh_file_pitch_names_field(tmp_path, capsys):
     assert run_cli("fem", "infsup", "--mesh", str(mesh),
                    "--out", str(tmp_path)) == 2
     assert "params.mesh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", [None, "power:1:1:3"])
+def test_pressure_k1_names_the_unstable_pair(tmp_path, capsys, law):
+    # the study and the stress mode build the space the params ask for
+    extra = () if law is None else ("--law", law)
+    assert run_cli("fem", "pressure", "--mesh", "square:1/4", "--k", "1",
+                   *extra, "--out", str(tmp_path)) == 1
+    assert "(k=1, m=0)" in read_report(tmp_path, "fem_pressure")["error"]
+    assert "(k=1, m=0)" in capsys.readouterr().err
+
+
+def test_pressure_study_reads_a_mesh_file(tmp_path):
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                                "h": [0.25, 0.125]}))
+    assert run_cli("fem", "pressure", "--mesh", str(mesh),
+                   "--out", str(tmp_path), "--id", "file") == 0
+    assert run_cli("fem", "pressure", "--mesh", "square:1/4,1/8",
+                   "--out", str(tmp_path), "--id", "square") == 0
+    study = (tmp_path / "file_study.csv").read_bytes()
+    assert study == (tmp_path / "square_study.csv").read_bytes()
+    assert len(study.splitlines()) == 3
 
 
 def test_run_balance_single_pair(tmp_path):

@@ -518,11 +518,15 @@ def test_balance_report_serializes():
 def test_domination():
     rep = dominates(power(2), power(1))
     assert rep.verdict == "near_infinity"
+    assert rep.holds()
     assert rep.constant == pytest.approx(0.01799824359908151, rel=1e-9)
     assert rep.s0 == pytest.approx(3087.0221735358805, rel=1e-9)
-    assert dominates(power(1), power(2)).verdict == "no"
+    no_rep = dominates(power(1), power(2))
+    assert no_rep.verdict == "no"
+    assert not no_rep.holds()
     self_rep = dominates(power(2), power(2))
     assert self_rep.verdict == "global"
+    assert self_rep.holds()
     assert self_rep.constant == pytest.approx(1.0, rel=1e-9)
 
 
