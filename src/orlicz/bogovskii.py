@@ -41,7 +41,6 @@ import numpy as np
 
 from orlicz.spaces import SampledField, grid_gradient, modular, rearrange, \
     rearrangement_bound_rhs, square_grid
-from orlicz.young import YoungFunction
 
 __all__ = [
     "StarDomain",
@@ -662,12 +661,14 @@ def bogovskii_general(f, dec):
     """Solution field on a union of star-shaped subdomains.
 
     Splits f, solves each piece on its own subdomain over the shared
-    grid, and sums.  The divergence of the sum is compared against f on
-    the interior of the whole union and, separately, on the interior of
+    grid, and sums.  The pieces telescope to f minus its mean, so the
+    divergence of the sum is compared against that projection on the
+    interior of the whole union and, separately, on the interior of
     each subdomain (the per-subdomain residuals are the meaningful ones
     near the junctions, where the union's staircase is the roughest).
     """
     n, h = _grid_step(f, "bogovskii_general")
+    f = _project_mean_zero(f, {})
     pieces = split_function(f, dec)
     total = np.zeros((f.n_cells, 2))
     sub_reports = []

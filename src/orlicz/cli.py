@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from orlicz import bogovskii, fem, negnorm, spaces, young
+from orlicz import bogovskii, fem, negnorm, young
 from orlicz.spaces import (SampledField, StepFunction, field_from_csv,
                            field_to_csv, hardy_average, luxemburg_norm,
                            modular, rearrange)

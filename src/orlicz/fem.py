@@ -235,6 +235,9 @@ class StressLaw:
 
     @staticmethod
     def power(nu0, kappa0, p):
+        if not all(map(math.isfinite, (nu0, kappa0, p))):
+            raise ValueError("power law needs finite nu0, kappa0 and p, got "
+                             "%r" % ((nu0, kappa0, p),))
         if p <= 1.0:
             raise ValueError("power-law exponent must exceed 1")
         if nu0 <= 0.0 or kappa0 < 0.0:
@@ -243,6 +246,9 @@ class StressLaw:
 
     @staticmethod
     def eyring(nu0, lam0):
+        if not all(map(math.isfinite, (nu0, lam0))):
+            raise ValueError("eyring law needs finite nu0 and lam0, got %r"
+                             % ((nu0, lam0),))
         if nu0 <= 0.0 or lam0 <= 0.0:
             raise ValueError("need nu0 > 0 and lam0 > 0")
         return StressLaw("eyring", nu0=nu0, lam0=lam0)

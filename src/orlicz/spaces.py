@@ -22,12 +22,9 @@ No quadrature is used anywhere in this module.
 from __future__ import annotations
 
 import csv
-import json
 import math
 
 import numpy as np
-
-from orlicz.young import YoungFunction
 
 __all__ = [
     "SampledField",

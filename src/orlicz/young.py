@@ -111,17 +111,14 @@ class YoungFunction:
         "tabulated", "conjugate".
     params : tuple of float
         Family parameters (empty for eyring / tabulated / conjugate).
-    grid, density_samples : ndarray
-        The density a sampled on a geometric grid; np.inf marks the
-        region beyond a finite threshold.
     allows_infinity : bool
         True when A(s) = inf beyond a finite threshold.
     """
 
     def __init__(self, kind, params, density_fn, eval_fn, *,
                  log_eval_fn=None, logarg_density_fn=None,
-                 logarg_logeval_fn=None, inf_threshold=None, grid=None,
-                 base=None, knots=None):
+                 logarg_logeval_fn=None, inf_threshold=None, base=None,
+                 knots=None):
         self.kind = kind
         self.params = tuple(float(p) for p in params)
         self._density_fn = density_fn
@@ -133,20 +130,8 @@ class YoungFunction:
         self.allows_infinity = inf_threshold is not None
         self.base = base          # underlying function for kind="conjugate"
         self.knots = knots        # (r, a) arrays for kind="tabulated"
-        self.grid = default_grid() if grid is None else np.asarray(grid, float)
-        with np.errstate(over="ignore"):
-            self.density_samples = np.asarray(density_fn(self.grid), float)
         self._table = None        # lazy log-log value table (conjugate kind)
         self._conj_cache = None
-        self._validate()
-
-    def _validate(self):
-        d = self.density_samples
-        finite = d[np.isfinite(d)]
-        if finite.size and np.any(np.diff(finite) < -1e-12 * max(finite.max(), 1.0)):
-            raise ValueError("density must be non-decreasing")
-        if finite.size and finite.min() < 0:
-            raise ValueError("density must be non-negative")
 
     # -- evaluation ---------------------------------------------------
 
@@ -400,6 +385,16 @@ def zygmund(p, alpha):
             out = np.where(r == 0.0, 0.0, out)
         return out
 
+    # alpha < 0 can make the density fall, which no other family's
+    # accepted parameters do, so only this family samples its density
+    with np.errstate(over="ignore"):
+        d = dens(default_grid())
+    finite = d[np.isfinite(d)]
+    if finite.size and np.any(np.diff(finite) < -1e-12 * max(finite.max(), 1.0)):
+        raise ValueError("density must be non-decreasing")
+    if finite.size and finite.min() < 0:
+        raise ValueError("density must be non-negative")
+
     def lg(s):
         s = np.asarray(s, float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -452,11 +447,17 @@ def exponential(beta):
     if beta >= 1.0:
         tstar, slope = 0.0, 0.0
     else:
-        tc = ((1.0 - beta) / beta) ** (1.0 / beta)
+        try:
+            tc = ((1.0 - beta) / beta) ** (1.0 / beta)
+        except OverflowError:
+            tc = math.inf
         h = lambda t: t * gp(t) - g(t)
         hi = tc
-        while h(hi) <= 0.0:
+        while math.isfinite(hi) and h(hi) <= 0.0:
             hi *= 2.0
+        if not math.isfinite(hi):
+            raise ValueError("exponential rate %g is too small: its tangent "
+                             "point overflows" % beta)
         tstar = brentq(h, tc, hi, xtol=1e-15, rtol=8.9e-16)
         slope = float(g(tstar) / tstar)
 
@@ -603,7 +604,7 @@ def _tabulated_from_knots(r, a):
         val = a[idx] + (a[nxt] - a[idx]) * np.clip(frac, 0.0, 1.0)
         return np.where(q < r[0], a[0], val)
 
-    return YoungFunction("tabulated", (), dens, ev, grid=r, knots=(r, a))
+    return YoungFunction("tabulated", (), dens, ev, knots=(r, a))
 
 
 def _flip_tabulated(A):
@@ -827,7 +828,7 @@ def _classify(A, mode):
     if mode == "delta2" and A.allows_infinity:
         # a finite threshold defeats doubling at every scale
         return GrowthClass("fails", math.inf, math.inf)
-    s = A.grid
+    s = default_grid()
     num = A.log_eval(2.0 * s)
     den = A.log_eval(s)
     both_zero = np.isneginf(num) & np.isneginf(den)
@@ -1123,43 +1124,47 @@ def dominates(A, B):
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-_FAMILY_ARITY = {"power": 1, "zygmund": 2, "exp": 1, "exponential": 1,
-                 "eyring": 0, "linf": 0, "cap": 1}
+# literal name -> (constructor, parameter count of the literal).  The
+# names are also the kinds young_from_dict accepts; to_dict writes
+# "exponential" and "cap", and a conjugated power carries two params.
+_FAMILIES = {"power": (power, 1), "zygmund": (zygmund, 2),
+             "exp": (exponential, 1), "exponential": (exponential, 1),
+             "eyring": (eyring, 0), "linf": (linear_cap, 0),
+             "cap": (linear_cap, 1)}
+
+
+def _family(name):
+    if name not in _FAMILIES:
+        raise ValueError("unknown Young family %r" % name)
+    return _FAMILIES[name]
+
+
+def _build(name, params):
+    """The member of family name with the given parameters, which must
+    be finite: nan and inf pass the constructors' range tests."""
+    make, _ = _family(name)
+    vals = [float(v) for v in params]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("family %s needs finite parameters, got %r"
+                         % (name, list(params)))
+    return make(*vals)
 
 
 def parse_young(text):
     """Parse a family literal like "power:2", "zygmund:1:1", "exp:0.5",
     "eyring" or "linf"."""
-    parts = str(text).strip().split(":")
-    name = parts[0]
-    if name not in _FAMILY_ARITY:
-        raise ValueError("unknown Young family %r" % name)
-    arity = _FAMILY_ARITY[name]
-    args = parts[1:]
+    name, *args = str(text).strip().split(":")
+    arity = _family(name)[1]
     if len(args) != arity:
         raise ValueError("family %s takes %d parameter(s), got %r"
                          % (name, arity, args))
-    vals = [float(a) for a in args]
-    if name == "power":
-        return power(vals[0])
-    if name == "zygmund":
-        return zygmund(vals[0], vals[1])
-    if name in ("exp", "exponential"):
-        return exponential(vals[0])
-    if name == "eyring":
-        return eyring()
-    if name == "cap":
-        return linear_cap(vals[0])
-    return linear_cap()
+    return _build(name, args)
 
 
 def parse_pair(text):
     """Parse a colon-joined pair literal, e.g. "zygmund:1:1:power:1"."""
     parts = str(text).strip().split(":")
-    first = parts[0]
-    if first not in _FAMILY_ARITY:
-        raise ValueError("unknown Young family %r" % first)
-    cut = 1 + _FAMILY_ARITY[first]
+    cut = 1 + _family(parts[0])[1]
     A = parse_young(":".join(parts[:cut]))
     B = parse_young(":".join(parts[cut:]))
     return A, B
@@ -1168,22 +1173,11 @@ def parse_pair(text):
 def young_from_dict(d):
     """Rebuild a YoungFunction from its to_dict form."""
     kind = d["kind"]
-    params = d.get("params", [])
-    if kind == "power":
-        return power(*params)
-    if kind == "zygmund":
-        return zygmund(*params)
-    if kind == "exponential":
-        return exponential(*params)
-    if kind == "eyring":
-        return eyring()
-    if kind == "cap":
-        return linear_cap(*params) if params else linear_cap()
     if kind == "tabulated":
         return tabulated(d["grid"], d["density"])
     if kind == "conjugate":
         return young_from_dict(d["base"]).conjugate()
-    raise ValueError("unknown kind %r" % kind)
+    return _build(kind, d.get("params", []))
 
 
 def young_to_json(A):

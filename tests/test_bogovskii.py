@@ -521,6 +521,8 @@ def test_general_operator_on_lshape():
     # each subdomain solve reproduces its piece where the piece is smooth
     for res in rep["div_residual_per_subdomain"]:
         assert res < 0.05
+    # the pieces telescope to f - mean, and so does the union's divergence
+    assert rep["div_residual"] < 0.1
     # composed field vanishes away from the union
     k = int(np.argmin(np.max(np.abs(f.centroids - np.array([0.9, 0.9])),
                              axis=1)))

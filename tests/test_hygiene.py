@@ -1,0 +1,34 @@
+"""Source hygiene checks over the library modules."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orlicz"
+
+
+def _unused_imports(path):
+    """(line, name) of each import in path that the module never reads
+    and does not list in __all__."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0])
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name)
+                         for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    found = ["%s:%d %s" % (path.name, line, name)
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _unused_imports(path)]
+    assert not found, "unused imports: " + ", ".join(found)

@@ -443,6 +443,15 @@ def test_growth_class_holds():
     assert np.all(A(2 * s) <= g.constant * A(s) * (1 + 1e-9))
 
 
+def test_tabulated_classes_scan_past_the_knots():
+    # the density is constant past its last knot, so A(2s)/A(s) -> 2:
+    # nabla2 fails; Delta2 peaks at A(1.3)/A(0.65), about 6.48, between
+    # knots that a scan of the knots alone never sees
+    A = tabulated([0.0, 0.5, 1.0, 3.0], [0.2, 0.2, 1.5, 4.0])
+    assert not A.classify_nabla2().holds()
+    assert A.classify_delta2().constant >= 6.4
+
+
 # ---------------------------------------------------------------------------
 # balance conditions (regression-frozen constants)
 
@@ -578,6 +587,50 @@ def test_parse_young():
         parse_young("power")
     with pytest.raises(ValueError):
         parse_young("nosuch:1")
+
+
+def test_zygmund_rejects_a_falling_density():
+    with pytest.raises(ValueError, match="density must be non-decreasing"):
+        zygmund(1, -0.5)
+    assert zygmund(2, -1).params == (2.0, -1.0)
+
+
+def test_double_conjugate_builds_without_bisection(monkeypatch):
+    calls = []
+    real = young._bisect_boundary
+    monkeypatch.setattr(young, "_bisect_boundary",
+                        lambda *a: calls.append(a) or real(*a))
+    zygmund(1, 1).conjugate().conjugate()
+    assert calls == []
+
+
+@pytest.mark.parametrize("literal", [
+    "cap:nan", "cap:inf", "power:inf", "zygmund:1:nan", "exp:inf",
+    "exp:-inf"])
+def test_parse_rejects_non_finite_parameters(literal):
+    with pytest.raises(ValueError, match="needs finite parameters"):
+        parse_young(literal)
+    with pytest.raises(ValueError, match="needs finite parameters"):
+        parse_pair("power:2:" + literal)
+    name, *params = literal.split(":")
+    with pytest.raises(ValueError, match="needs finite parameters"):
+        young_from_dict({"kind": name, "params": [float(v) for v in params]})
+
+
+@pytest.mark.parametrize("beta", [0.001, 0.00699])
+def test_exponential_rate_too_small_names_the_rate(beta):
+    # 0.001 overflows the critical point, 0.00699 the search past it
+    with pytest.raises(ValueError, match="exponential rate %g" % beta):
+        exponential(beta)
+
+
+def test_from_dict_takes_the_literal_aliases():
+    assert young_from_dict({"kind": "exp", "params": [0.5]}).kind \
+        == "exponential"
+    assert young_from_dict({"kind": "linf", "params": []}).inf_threshold \
+        == 1.0
+    with pytest.raises(ValueError, match="unknown Young family"):
+        young_from_dict({"kind": "nosuch", "params": []})
 
 
 def test_parse_pair():
