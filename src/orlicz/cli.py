@@ -544,21 +544,24 @@ def _drive_fem_infsup(p, out):
                                    "n_pressure"], rows)}}
 
 
+def _pressure_study(pi, spaces, A, B):
+    """fem.pressure_error_row on each (h, V) of spaces, with h added:
+    the rows and the study table."""
+    rows = [{"h": h, **fem.pressure_error_row(pi, V, A, B)}
+            for h, V in spaces]
+    header = ["h", "error", "best", "ratio", "stability", "residual"]
+    return rows, (header, [tuple(r[key] for key in header) for r in rows])
+
+
 def _drive_fem_pressure(p, out):
     A, B = young.parse_pair(p["pair"])
     if p["law"] is None:
-        pi = _pi_expr(p["pi"])
-        rows = [{"h": h, **fem.pressure_error_row(pi, V, A, B)}
-                for h, V in _spaces(p)]
-        table = [(r["h"], r["error"], r["best"], r["ratio"],
-                  r["stability"], r["residual"]) for r in rows]
+        rows, study = _pressure_study(_pi_expr(p["pi"]), _spaces(p), A, B)
         ratios = [r["ratio"] for r in rows]
         data = {"mode": "pressure", "ratios": ratios,
                 "errors": [r["error"] for r in rows],
                 "ratio_band": max(ratios) / min(ratios)}
-        return {"data": data, "assertions": [],
-                "tables": {"study": (["h", "error", "best", "ratio",
-                                      "stability", "residual"], table)}}
+        return {"data": data, "assertions": [], "tables": {"study": study}}
     law = _parse_law(p["law"])
 
     def H(pts):
@@ -588,7 +591,7 @@ def _drive_fem_projection(p, out):
         local = fem.check_local_stability(_vortex, _vortex_grad, V,
                                           rep["coeffs"])
         ratio = fem.check_orlicz_projection_stability(
-            _vortex, _vortex_grad, V, A)
+            _vortex_grad, V, rep["coeffs"], A)
         rows.append((h, rep["defect_before"], rep["defect_after"],
                      local, ratio))
         assertions.append(_check(
@@ -974,6 +977,8 @@ def _drive_fem_suite(p, out):
                              "divergence", worst_defect <= 1e-12,
                              worst_defect, 1e-12))
 
+    coeffs = {h: fem.projection_apply(_vortex, V)["coeffs"]
+              for h, V in spaces_by_h.items()}
     stab_rows = []
     worst_ratio = 0.0
     for label, A in (("power:1.5", young.power(1.5)),
@@ -982,24 +987,20 @@ def _drive_fem_suite(p, out):
                      ("exp:1", young.exponential(1.0))):
         for h in hs:
             ratio = fem.check_orlicz_projection_stability(
-                _vortex, _vortex_grad, spaces_by_h[h], A)
+                _vortex_grad, spaces_by_h[h], coeffs[h], A)
             stab_rows.append((label, h, ratio))
             worst_ratio = max(worst_ratio, ratio)
     assertions.append(_check("gradient-norm stability of the "
                              "interpolant", worst_ratio <= 1.5,
                              worst_ratio, 1.5))
 
-    sinsin = _pi_expr("sinsin")
-    rows = [{"h": h, **fem.pressure_error_row(sinsin, spaces_by_h[h],
-                                               p2, p2)}
-            for h in hs]
+    rows, study = _pressure_study(_pi_expr("sinsin"),
+                                  [(h, spaces_by_h[h]) for h in hs], p2, p2)
     ratios = [r["ratio"] for r in rows]
     rmid = sum(ratios) / len(ratios)
     assertions.append(_check("pressure error ratio within 30% of its "
                              "mean", all(abs(r - rmid) <= 0.3 * rmid
                                          for r in ratios), ratios, None))
-    study_rows = [(r["h"], r["error"], r["best"], r["ratio"],
-                   r["stability"], r["residual"]) for r in rows]
 
     return {"data": {"infsup": values, "ratios": ratios,
                      "lambda_h": lams, "lambda_drop_ratios": drop_ratios,
@@ -1007,8 +1008,7 @@ def _drive_fem_suite(p, out):
             "assertions": assertions,
             "tables": {"infsup": (["h", "value"], infsup_rows),
                        "stability": (["family", "h", "ratio"], stab_rows),
-                       "study": (["h", "error", "best", "ratio",
-                                  "stability", "residual"], study_rows)}}
+                       "study": study}}
 
 
 def _drive_determinism(p, out):
@@ -1196,45 +1196,6 @@ def _load_config(path):
     return _check_config(cfg, path)
 
 
-def _apply_overrides(cfg, args):
-    """Apply run's flags to cfg; return {param: flag} for each param a
-    flag set, so that a bad value is reported under its flag."""
-    flags = {}
-
-    def put(key, value, flag):
-        cfg.setdefault("params", {})[key] = value
-        flags[key] = flag
-
-    if args.id:
-        cfg["id"] = args.id
-    exp = cfg["experiment"]
-    schema = EXPERIMENTS[exp]["params"]
-    if args.pair and "pairs" in schema:
-        put("pairs", [[args.pair, None] if exp == "balance_matrix"
-                      else args.pair], "--pair")
-    elif args.pair:
-        put("pair", args.pair, "--pair")
-    if args.mesh:
-        put("mesh", args.mesh, "--mesh")
-    if args.grid is not None and "grids" in schema:
-        put("grids", [args.grid], "--grid")
-    elif args.grid is not None:
-        put("grid" if exp == "bogovskii_run" else "n", args.grid, "--grid")
-    if args.depth is not None:
-        put("depth", args.depth, "--depth")
-    for kv in args.set or []:
-        if "=" not in kv:
-            raise UsageError("--set: expected KEY=VALUE, got %r" % kv)
-        key, _, raw = kv.partition("=")
-        put(key, _json_or_text(raw), "--set")
-    if args.seed is not None:
-        # the flag beats the config's seed and --set, and the schema
-        # names it when the experiment takes none
-        cfg.pop("seed", None)
-        put("seed", args.seed, "--seed")
-    return flags
-
-
 def _suite_worker(path, out_flag=None):
     """Run one config; used both in-process and from a worker pool."""
     try:
@@ -1247,34 +1208,77 @@ def _suite_worker(path, out_flag=None):
 
 # -- subcommand entry points ---------------------------------------------------
 
-# subcommand -> (experiment, {argparse dest: param} where the two names
-# differ).  Every flag given sets the param of its name, and the schema
-# names a flag whose experiment has no such param; fem takes its
-# experiment from the verb.
-_DIRECT = {
-    "young": ("young_doc", {}),
-    "norm": ("norm_file", {"grid": "n"}),
-    "bogovskii": ("bogovskii_run", {}),
-    "negnorm": ("negnorm_field", {"family_depth": "depth", "grid": "n"}),
-    "fem": (None, {}),
-}
+# argparse dests that are not experiment settings
+_NOT_SETTINGS = {"command", "func", "experiment", "target", "verb", "suite",
+                 "jobs", "out", "id", "set", "seed"}
+
+# flags that set a setting of another name when their experiment has
+# neither the setting of their own name nor its plural
+_RENAMED = {"grid": "n", "family_depth": "depth"}
+
+
+def _apply_flags(cfg, args):
+    """Apply the flags of a subcommand or of run to cfg; return {param:
+    flag} for each param a flag set, so that a bad value is reported
+    under its flag.
+
+    A flag sets the setting of its own name, else the list setting of
+    its plural as a one-entry list, else the setting _RENAMED names.
+    --set comes next and --seed last.  A flag whose experiment has no
+    such setting is named by the schema check."""
+    flags = {}
+
+    def put(key, value, flag):
+        cfg.setdefault("params", {})[key] = value
+        flags[key] = flag
+
+    if args.id:
+        cfg["id"] = args.id
+    schema = EXPERIMENTS[cfg["experiment"]]["params"]
+    for dest, value in vars(args).items():
+        if dest in _NOT_SETTINGS or value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if dest in schema:
+            put(dest, value, flag)
+        elif dest + "s" in schema:
+            put(dest + "s", [value], flag)
+        else:
+            put(_RENAMED.get(dest, dest), value, flag)
+    for kv in getattr(args, "set", None) or []:
+        if "=" not in kv:
+            raise UsageError("--set: expected KEY=VALUE, got %r" % kv)
+        key, _, raw = kv.partition("=")
+        put(key, _json_or_text(raw), "--set")
+    if getattr(args, "seed", None) is not None:
+        # the flag beats the config's seed and --set, and the schema
+        # names it when the experiment takes none
+        cfg.pop("seed", None)
+        put("seed", args.seed, "--seed")
+    return flags
+
+
+def _named_config(target, verb):
+    """The config of a named experiment; fem takes its experiment from
+    the verb."""
+    if target == "fem":
+        if verb not in ("infsup", "pressure", "projection"):
+            raise UsageError("run fem needs a verb: infsup, pressure or "
+                             "projection")
+        target = "fem_" + verb
+    elif verb:
+        raise UsageError("run: %r does not take a verb" % target)
+    name = _ALIASES.get(target, target)
+    if name not in EXPERIMENTS:
+        raise UsageError(
+            "unknown experiment or config file %r (experiments: %s)"
+            % (target, ", ".join(sorted(_ALIASES)+["fem VERB"])))
+    return {"schema": SCHEMA, "experiment": name}
 
 
 def cmd_direct(args):
-    exp, renamed = _DIRECT[args.command]
-    exp = exp or "fem_" + args.verb
-    params, flags = {}, {}
-    for dest, value in vars(args).items():
-        if dest in ("command", "verb", "func", "out", "id") \
-                or value is None:
-            continue
-        key = renamed.get(dest, dest)
-        params[key] = value
-        flags[key] = "--" + dest.replace("_", "-")
-    cfg = {"schema": SCHEMA, "experiment": exp, "params": params}
-    if args.id:
-        cfg["id"] = args.id
-    return _run_one(cfg, out_flag=args.out, flags=flags)
+    cfg = _named_config(args.experiment, getattr(args, "verb", None))
+    return _run_one(cfg, out_flag=args.out, flags=_apply_flags(cfg, args))
 
 
 def cmd_run(args):
@@ -1302,28 +1306,16 @@ def cmd_run(args):
             print("%s %s" % ("PASS" if code == 0 else "FAIL", path.name))
             worst = max(worst, code)
         return worst
-    if not args.target:
+    target = args.target
+    if not target:
         raise UsageError("run needs a config file, an experiment name, "
                          "or --suite DIR")
-    target = args.target
-    if target == "fem":
-        if args.verb not in ("infsup", "pressure", "projection"):
-            raise UsageError("run fem needs a verb: infsup, pressure or "
-                             "projection")
-        cfg = {"schema": SCHEMA, "experiment": "fem_" + args.verb}
-    elif args.verb:
-        raise UsageError("run: %r does not take a verb" % target)
-    elif target.endswith(".json") or Path(target).exists():
+    if target != "fem" and not args.verb \
+            and (target.endswith(".json") or Path(target).exists()):
         cfg = _load_config(target)
     else:
-        name = _ALIASES.get(target, target)
-        if name not in EXPERIMENTS:
-            raise UsageError(
-                "unknown experiment or config file %r (experiments: %s)"
-                % (target, ", ".join(sorted(_ALIASES)+["fem VERB"])))
-        cfg = {"schema": SCHEMA, "experiment": name}
-    flags = _apply_overrides(cfg, args)
-    return _run_one(cfg, out_flag=args.out, flags=flags)
+        cfg = _named_config(target, args.verb)
+    return _run_one(cfg, out_flag=args.out, flags=_apply_flags(cfg, args))
 
 
 def build_parser():
@@ -1333,13 +1325,13 @@ def build_parser():
                     "reconstruction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, func):
+    def common(sp, func, **defaults):
         sp.add_argument("--out", default=None,
                         help="output directory (default: $%s or ./out)"
                         % _OUT_ENV)
         sp.add_argument("--id", default=None,
                         help="report id used in output file names")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, **defaults)
 
     sp = sub.add_parser("young", help="serialize and check one Young "
                                       "function")
@@ -1349,7 +1341,7 @@ def build_parser():
     sp.add_argument("--grid", default=None, help="MIN:MAX:POINTS",
                     type=lambda text: [_json_or_text(t)
                                        for t in text.split(":")])
-    common(sp, cmd_direct)
+    common(sp, cmd_direct, experiment="young_doc")
 
     sp = sub.add_parser("norm", help="Luxemburg norm and rearrangement "
                                      "of a sampled field")
@@ -1360,7 +1352,7 @@ def build_parser():
                     help="sampling resolution for expressions")
     sp.add_argument("--rearrange", action="store_true",
                     help="also write the decreasing rearrangement CSV")
-    common(sp, cmd_direct)
+    common(sp, cmd_direct, experiment="norm_file")
 
     sp = sub.add_parser("bogovskii", help="solve the divergence equation "
                                           "and report the constants")
@@ -1369,7 +1361,7 @@ def build_parser():
     sp.add_argument("--grid", type=int)
     sp.add_argument("--pair")
     sp.add_argument("--rearr-c", type=float, dest="rearr_c")
-    common(sp, cmd_direct)
+    common(sp, cmd_direct, experiment="bogovskii_run")
 
     sp = sub.add_parser("negnorm", help="two-sided negative-norm check "
                                         "for one field")
@@ -1378,7 +1370,7 @@ def build_parser():
     sp.add_argument("--pair", required=True)
     sp.add_argument("--family-depth", type=int, dest="family_depth")
     sp.add_argument("--grid", type=int)
-    common(sp, cmd_direct)
+    common(sp, cmd_direct, experiment="negnorm_field")
 
     sp = sub.add_parser("fem", help="inf-sup, pressure and interpolation "
                                     "experiments")
@@ -1390,7 +1382,7 @@ def build_parser():
     sp.add_argument("--law", help="power:NU:KAPPA:P or eyring:NU:LAM")
     sp.add_argument("--method", help="auto, eigen or ascent")
     sp.add_argument("--seed", type=int)
-    common(sp, cmd_direct)
+    common(sp, cmd_direct, experiment="fem")
 
     sp = sub.add_parser("run", help="run a config file, a named "
                                     "experiment, or the whole suite")

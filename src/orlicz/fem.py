@@ -711,8 +711,10 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
     L2-normalized ratio doubles.  Other pairs run an alternating scheme
     (inner maximization warm-started at the quadratic optimum, outer
     random line searches over the pressure sphere with seeded
-    restarts); the result is the minimum found, an upper bound whose
-    tested property is stability in h, not exactness.
+    restarts).  Its result is the least, over the sampled pressures, of
+    a lower estimate of the sup over phi, so it bounds the discrete
+    constant from neither side; its tested property is stability in h,
+    not exactness.
     """
     quadratic = _is_plain_quadratic(A) and _is_plain_quadratic(B)
     if method == "auto":
@@ -816,11 +818,6 @@ def compute_infsup(V, A, B, method="auto", seed=0, max_iter=200,
 
 # -- divergence-preserving interpolation ---------------------------------
 
-def _element_divergence(V, coeffs):
-    """Integral of the divergence of the FE field over each simplex."""
-    return V.araw.T @ coeffs
-
-
 def _flux_integrals(V, u):
     """Integral over each simplex boundary of u . n, by edge quadrature.
 
@@ -886,7 +883,7 @@ def projection_apply(u, V):
     nodal[d] = loc[slot, a]
 
     target = _flux_integrals(V, u)
-    defect = target - _element_divergence(V, coeffs)
+    defect = target - V.araw.T @ coeffs
     defect_before = float(np.abs(defect).max())
 
     # interior-edge flow: the bubble on edge e pointed along its unit
@@ -915,8 +912,7 @@ def projection_apply(u, V):
     normal = np.stack([tang[e, 1], -tang[e, 0]], axis=1) / length[e, None]
     nodal[V.node_dof[nv + e]] += alpha[e, None] * normal
 
-    defect_after = float(np.abs(target
-                                - _element_divergence(V, coeffs)).max())
+    defect_after = float(np.abs(target - V.araw.T @ coeffs).max())
     return {"coeffs": coeffs, "defect_before": defect_before,
             "defect_after": defect_after,
             "defect_sum": float(defect.sum())}
@@ -962,11 +958,10 @@ def check_local_stability(u, grad_u, V, coeffs):
     return float(np.max(lhs[ok] / rhs[ok], initial=0.0))
 
 
-def check_orlicz_projection_stability(u, grad_u, V, A):
-    """Gradient Luxemburg norm of the interpolant over that of u, on
-    the quadrature sampling."""
-    rep = projection_apply(u, V)
-    num = luxemburg_norm(V.gradient_samples(rep["coeffs"]), A)
+def check_orlicz_projection_stability(grad_u, V, coeffs, A):
+    """Luxemburg norm of the gradient of the interpolant with
+    coefficients coeffs over that of grad_u, on the quadrature sampling."""
+    num = luxemburg_norm(V.gradient_samples(coeffs), A)
     tab = V.tables()
     pts = tab["qpts"].reshape(-1, 2)
     field = SampledField(pts, tab["qw"].ravel(),

@@ -368,11 +368,7 @@ def modular(u, A):
     keep = (meas > 0) & (mags > 0)
     if not np.any(keep):
         return 0.0
-    with np.errstate(over="ignore"):
-        terms = meas[keep] * A(mags[keep])
-    if np.isinf(terms).any():
-        return math.inf
-    return _fsum(terms)
+    return _modular_scaled(mags[keep], meas[keep], A, 1.0)
 
 
 def _modular_scaled(mags, meas, A, lam):
@@ -567,8 +563,7 @@ class HardyProfile:
             raise ValueError("argument outside (0, T]")
         idx = np.clip(np.searchsorted(self.edges, s, side="left") - 1,
                       0, self.coeffs.shape[0] - 1)
-        c, d, e = self.coeffs[idx].T
-        out = c + d / s + e * np.log(1.0 / s)
+        out = self._eval_with(idx, s)
         return float(out[0]) if scalar else out
 
     def is_nonincreasing(self):

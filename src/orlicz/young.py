@@ -486,7 +486,12 @@ def exponential(beta):
                 out = np.where(s > tstar, out, np.log(slope * s))
         return out
 
-    return YoungFunction("exponential", (beta,), dens, ev, log_eval_fn=lg)
+    A = YoungFunction("exponential", (beta,), dens, ev, log_eval_fn=lg)
+    _, d_lo, d_hi = _conj_table_span(A)
+    if not d_hi > d_lo:
+        raise ValueError("exponential rate %g is too small: its conjugate "
+                         "vanishes over the whole table range" % beta)
+    return A
 
 
 def eyring():
@@ -680,19 +685,11 @@ def _conj_log_eval_exact(A, s):
     return out
 
 
-def _build_conj_table(C):
-    """Monotone cubic table of log conj on a log abscissa grid.
-
-    Node values come from the log-domain Legendre formula; evaluation
-    outside the tabulated span falls back to that formula per call.  The
-    top end is confined so interpolation error stays tiny even for the
-    exponential-type conjugates, whose log value is convex in log s.
-    Returns the breakpoints x = log(s - s_zero), scipy's PCHIP
-    coefficients on them (shape (4, len(x) - 1)) and s_zero.
-    """
-    base = C.base
+def _conj_table_span(base):
+    """(s_zero, d_lo, d_hi): the conjugate of base vanishes up to
+    s_zero = a(0+), and its table spans s - s_zero in [d_lo, d_hi]; the
+    span is empty unless d_hi > d_lo."""
     s_zero = float(np.asarray(base.density(np.asarray([1e-300]))).ravel()[0])
-
     a9 = float(np.asarray(base.density(np.asarray([1e9]))).ravel()[0])
     if not np.isfinite(a9):
         hi = _CONJ_TABLE_HI
@@ -704,8 +701,21 @@ def _build_conj_table(C):
             hi = min(hi, cap * 0.98)
     if s_zero > 0.0:
         hi = max(hi, 2.0 * s_zero)
-    d_lo = max(_CONJ_TABLE_LO, s_zero * 1e-14)
-    d_hi = hi - s_zero
+    return s_zero, max(_CONJ_TABLE_LO, s_zero * 1e-14), hi - s_zero
+
+
+def _build_conj_table(C):
+    """Monotone cubic table of log conj on a log abscissa grid.
+
+    Node values come from the log-domain Legendre formula; evaluation
+    outside the tabulated span falls back to that formula per call.  The
+    top end is confined so interpolation error stays tiny even for the
+    exponential-type conjugates, whose log value is convex in log s.
+    Returns the breakpoints x = log(s - s_zero), scipy's PCHIP
+    coefficients on them (shape (4, len(x) - 1)) and s_zero.
+    """
+    base = C.base
+    s_zero, d_lo, d_hi = _conj_table_span(base)
     if not d_hi > d_lo:
         raise ValueError("conjugate vanishes over the whole table range")
 
@@ -867,24 +877,20 @@ def _classify(A, mode):
                            float(s[start]))
 
     # nabla2: inf of the ratio must exceed 2 strictly.  A margin that
-    # decays toward zero with a definite log slope means the infimum
-    # over the continuum is exactly 2, even though every sampled point
-    # clears it.
+    # decays toward zero with a definite log slope (its negated log
+    # diverges) means the infimum over the continuum is exactly 2, even
+    # though every sampled point clears it.
     margin = math.log(2.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         logmargin = np.where(
             active & np.isfinite(logratio) & (logratio > margin),
             np.log(np.maximum(logratio - margin, 1e-300)), np.nan)
-    top = s >= s[-1] / 100.0
-    top_slope = _window_log_slope(np.log(s[top]), logmargin[top])
-    margin_decays = not math.isnan(top_slope) and top_slope < -_SLOPE_TOL
+    margin_decays = _diverges_top(s, -logmargin)
     ok = np.where(neutral, True, logratio > margin * (1.0 + 1e-12))
     if np.all(ok[active]):
         if margin_decays:
             return GrowthClass("fails", 2.0, math.inf)
-        bot = s <= s[0] * 100.0
-        bot_slope = _window_log_slope(np.log(s[bot]), logmargin[bot])
-        if not math.isnan(bot_slope) and bot_slope > _SLOPE_TOL:
+        if _diverges_bottom(s, -logmargin):
             # margin vanishes toward zero: the condition only holds on
             # tails, starting where the ratio clears 2 by a fixed bite
             clear = active & np.isfinite(logmargin) & \

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import corpus_fields
 
-from orlicz import bogovskii, cli, young
+from orlicz import bogovskii, cli, fem, young
 from orlicz.spaces import SampledField, field_to_csv, luxemburg_norm
 
 INFSUP_H8 = 1.0153046023291719
@@ -200,6 +200,7 @@ def test_malformed_pair_names_flag(tmp_path, capsys):
      "--law"),
     (("fem", "pressure", "--mesh", "square:1/4", "--law", "eyring:1:inf"),
      "--law"),
+    (("young", "--young", "exp:0.008"), "--young"),
 ])
 def test_out_of_range_count_flags_exit_2(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
@@ -223,6 +224,38 @@ def test_flags_the_experiment_does_not_take_exit_2(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert flag in err and "is not a setting of experiment" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("direct, run", [
+    (("negnorm", "--u", "step_x", "--pair", "power:2:power:2",
+      "--grid", "16", "--family-depth", "2"),
+     ("run", "negnorm_field", "--set", "u=step_x",
+      "--set", "pair=power:2:power:2", "--set", "n=16", "--set", "depth=2")),
+    (("bogovskii", "--grid", "16"), ("run", "bogovskii_run", "--grid", "16")),
+])
+def test_subcommand_and_run_write_the_same_files(tmp_path, direct, run):
+    # both forms go through one flag route to the same settings
+    a, b = tmp_path / "direct", tmp_path / "run"
+    assert run_cli(*direct, "--id", "same", "--out", str(a)) == 0
+    assert run_cli(*run, "--id", "same", "--out", str(b)) == 0
+    names = sorted(f.name for f in a.iterdir())
+    assert names == sorted(f.name for f in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_fem_projection_interpolates_each_mesh_once(tmp_path, monkeypatch):
+    calls = []
+    apply = fem.projection_apply
+
+    def counted(u, V):
+        calls.append(V.tri.h)
+        return apply(u, V)
+
+    monkeypatch.setattr(fem, "projection_apply", counted)
+    assert run_cli("fem", "projection", "--mesh", "square:1/4,1/8",
+                   "--out", str(tmp_path)) == 0
+    assert len(calls) == 2
 
 
 def test_run_seed_flag_beats_config_seed(tmp_path):

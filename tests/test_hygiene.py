@@ -32,3 +32,23 @@ def test_no_unused_imports():
              for path in sorted(SRC.glob("*.py"))
              for line, name in _unused_imports(path)]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_no_unreferenced_private_functions():
+    # a module-level _name function that no module of the package reads,
+    # by name or as an attribute, is dead code
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = ["%s:%d %s" % (name, node.lineno, node.name)
+             for name, tree in trees.items() for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and node.name not in used]
+    assert not found, "unreferenced private functions: " + ", ".join(found)
