@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orlicz.spaces import SampledField, grid_gradient, modular, rearrange, \
-    rearrangement_bound_rhs, square_grid
+from orlicz.spaces import _NORM_RTOL, SampledField, grid_gradient, \
+    luxemburg_norm, modular, rearrange, rearrangement_bound_rhs, square_grid
 
 __all__ = [
     "StarDomain",
@@ -76,7 +76,7 @@ class StarDomain:
     supported in the ball; c = 5/(pi rho^2) makes it integrate to 1.
     """
 
-    def __init__(self, vertices, ball_center, ball_radius, check=True):
+    def __init__(self, vertices, ball_center, ball_radius):
         self.vertices = np.asarray(vertices, dtype=float)
         self.ball_center = np.asarray(ball_center, dtype=float)
         self.ball_radius = float(ball_radius)
@@ -85,7 +85,7 @@ class StarDomain:
             raise ValueError("polygon needs at least 3 vertices")
         if self.ball_radius <= 0:
             raise ValueError("ball radius must be positive")
-        if check and not self.star_check():
+        if not self.star_check():
             raise ValueError("polygon is not star-shaped for the given ball")
 
     # -- geometry -------------------------------------------------------
@@ -115,18 +115,16 @@ class StarDomain:
         return inside
 
     def star_check(self):
-        """Sample segments vertex-to-ball and test containment."""
+        """Sample segments vertex-to-ball and test containment, all
+        sample points in one contains call."""
         n_dirs, n_steps = 12, 9
         ang = np.linspace(0, 2 * math.pi, n_dirs, endpoint=False)
         ball_pts = self.ball_center + 0.999 * self.ball_radius * \
             np.column_stack([np.cos(ang), np.sin(ang)])
-        ts = (np.arange(1, n_steps + 1)) / (n_steps + 1.0)
-        for vert in self.vertices:
-            for b in ball_pts:
-                seg = vert[None, :] * (1 - ts[:, None]) + b[None, :] * ts[:, None]
-                if not np.all(self.contains(seg)):
-                    return False
-        return True
+        ts = ((np.arange(1, n_steps + 1)) / (n_steps + 1.0))[:, None]
+        seg = self.vertices[:, None, None, :] * (1 - ts) \
+            + ball_pts[None, :, None, :] * ts
+        return bool(np.all(self.contains(seg.reshape(-1, 2))))
 
     # -- the bump -------------------------------------------------------
 
@@ -156,7 +154,7 @@ class StarDomain:
         """96-gon about the origin, star-shaped for the half-radius ball."""
         ang = np.linspace(0, 2 * math.pi, 96, endpoint=False)
         verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-        return StarDomain(verts, (0.0, 0.0), 0.5 * radius, check=False)
+        return StarDomain(verts, (0.0, 0.0), 0.5 * radius)
 
     @staticmethod
     def rectangle(lo, hi):
@@ -166,7 +164,7 @@ class StarDomain:
                           [hi[0], hi[1]], [lo[0], hi[1]]])
         center = 0.5 * (lo + hi)
         radius = 0.35 * float(np.min(hi - lo))
-        return StarDomain(verts, center, radius, check=False)
+        return StarDomain(verts, center, radius)
 
     def __repr__(self):
         return "StarDomain(%d vertices, ball r=%.3g at %s)" % (
@@ -184,7 +182,7 @@ class DomainDecomposition:
         if not self.subdomains:
             raise ValueError("need at least one subdomain")
 
-    def covers(self, pts):
+    def contains(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
         ok = np.zeros(pts.shape[0], dtype=bool)
         for D in self.subdomains:
@@ -216,8 +214,7 @@ def grid_field(D, fn, n, bbox=None):
     ys = lo[1] + (np.arange(n) + 0.5) * h
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     cent = np.column_stack([X.ravel(), Y.ravel()])
-    inside = D.contains(cent) if not isinstance(D, DomainDecomposition) \
-        else D.covers(cent)
+    inside = D.contains(cent)
     vals = np.where(inside, np.asarray(fn(X, Y), float).ravel(), 0.0)
     meas = np.where(inside, h * h, 0.0)
     return SampledField(cent, meas, vals)
@@ -523,27 +520,23 @@ def bogovskii_field(f, D):
 
 def check_modular_bound(field_report, A, B):
     """Least C in [1e-6, 1e9] with integral B(|grad u|) <= integral
-    A(C |f|); inf when even 1e9 falls short."""
+    A(C |f|); inf when even 1e9 falls short.
+
+    With f's measures divided by L = integral B(|grad u|), integral
+    A(|f|/lam) / L is the modular of the rescaled field, so the least C
+    is 1/lam for lam its Luxemburg norm.  The norm's bracket keeps a
+    lower end within the relative tolerance rtol of the returned upper
+    end, where that modular exceeds 1; C = 1/(lam (1 - rtol)) therefore
+    satisfies the inequality and errs high by at most rtol.
+    """
     lhs = modular(field_report["gradient"].magnitude_field(), B)
     f = field_report["f"]
-
-    def rhs(c):
-        return modular(f * c, A)
-
-    lo, hi = 1e-6, 1e9
-    if rhs(lo) >= lhs:
-        return lo
-    if rhs(hi) < lhs:
+    if modular(f * 1e-6, A) >= lhs:
+        return 1e-6
+    if modular(f * 1e9, A) < lhs:
         return math.inf
-    for _ in range(200):
-        if hi - lo <= 1e-10 * hi:
-            break
-        mid = math.sqrt(lo * hi)
-        if rhs(mid) >= lhs:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    scaled = SampledField(f.centroids, f.measures / lhs, f.values)
+    return 1.0 / (luxemburg_norm(scaled, A) * (1.0 - _NORM_RTOL))
 
 
 def check_rearrangement_estimate(f, gradient_field, C, n_s=100):

@@ -150,7 +150,7 @@ def _spaces(p):
     a time so that each space's factors are freed before the next."""
     for h, polygon, coarse in _mesh_plan(p["mesh"]):
         tri = fem.triangulate(polygon, h, coarse=coarse)
-        yield h, fem.FESpacePair(tri, k=p["k"], m=p["m"])
+        yield h, fem.FESpacePair(tri, k=p["k"])
 
 
 def _parse_law(spec):
@@ -1028,11 +1028,11 @@ def _drive_determinism(p, out):
                                   same, names, None)]}
 
 
-# The finite-element settings shared by the fem_* experiments: velocity
-# degree 1 or 2, and piecewise-constant pressure, the only one shipped.
+# The finite-element settings shared by the fem_* experiments; the
+# pressure is always piecewise constant.
 _FE_PARAMS = {"mesh": ("square:1/4,1/8,1/16", _mesh),
               "pair": ("power:2:power:2", _pair),
-              "k": (2, _choice(1, 2)), "m": (0, _choice(0))}
+              "k": (2, _choice(1, 2))}
 
 # experiment -> driver, params {field: (default, check)} and rules
 # [(field, holds(checked params), why)] that tie fields together.  A
@@ -1378,7 +1378,6 @@ def build_parser():
     sp.add_argument("--mesh", help="square:H[,H...] or a mesh .json file")
     sp.add_argument("--pair")
     sp.add_argument("--k", type=int)
-    sp.add_argument("--m", type=int)
     sp.add_argument("--law", help="power:NU:KAPPA:P or eyring:NU:LAM")
     sp.add_argument("--method", help="auto, eigen or ascent")
     sp.add_argument("--seed", type=int)
@@ -1408,7 +1407,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help, or a usage error naming the flag
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

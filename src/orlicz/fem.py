@@ -37,7 +37,6 @@ __all__ = [
     "reconstruct_pressure",
     "compute_infsup",
     "projection_apply",
-    "evaluate_velocity",
     "check_local_stability",
     "check_orlicz_projection_stability",
     "pressure_error_row",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 # Seven-point degree-5 rule with positive weights; one rule serves every
-# assembly here (required exactness is degree k + max(k-1, m) <= 5).
+# assembly here (required exactness is degree 2k - 1 <= 5).
 _QA = (6.0 - math.sqrt(15.0)) / 21.0
 _QB = (6.0 + math.sqrt(15.0)) / 21.0
 _TRI_QP = np.array([
@@ -331,14 +330,11 @@ class FESpacePair:
     field has zero total divergence.
     """
 
-    def __init__(self, tri, k=2, m=0):
+    def __init__(self, tri, k=2):
         if k not in (1, 2):
             raise ValueError("velocity degree k must be 1 or 2")
-        if m != 0:
-            raise ValueError("only piecewise-constant pressure shipped")
         self.tri = tri
         self.k = k
-        self.m = m
         self._areas = tri.areas()
         self.domain_measure = float(self._areas.sum())
 
@@ -354,14 +350,6 @@ class FESpacePair:
 
         self._tables = self._araw = self._stiffness = None
         self._stiffness_factor = self._saddle = self._modes = None
-
-    # scalar node ids per element, matching the local shape order
-    def element_nodes(self, t):
-        tri = self.tri
-        if self.k == 1:
-            return list(tri.simplices[t])
-        return list(tri.simplices[t]) + \
-            [tri.n_vertices + e for e in tri.simplex_edges[t]]
 
     def tables(self):
         """Vectorized per-element quadrature tables.
@@ -566,32 +554,6 @@ class FESpacePair:
                             tab["qw"].ravel(), vals)
 
 
-def evaluate_velocity(V, coeffs, pts):
-    """Velocity field values at arbitrary points (brute-force element
-    location; meant for spot checks, not bulk sampling)."""
-    pts = np.atleast_2d(np.asarray(pts, float))
-    out = np.zeros((len(pts), 2))
-    p = V.tri.vertices
-    t = V.tri.simplices
-    for i, x in enumerate(pts):
-        for e in range(V.tri.n_simplices):
-            tri = p[t[e]]
-            mat = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-            loc = np.linalg.solve(mat, x - tri[0])
-            lam = np.array([1.0 - loc.sum(), loc[0], loc[1]])
-            if lam.min() < -1e-12:
-                continue
-            shapes = _p2_shapes(lam) if V.k == 2 else lam
-            for a, node in enumerate(V.element_nodes(e)):
-                d = V.node_dof[node]
-                if d < 0:
-                    continue
-                out[i, 0] += coeffs[2 * d] * shapes[a]
-                out[i, 1] += coeffs[2 * d + 1] * shapes[a]
-            break
-    return out
-
-
 # -- pressure system -----------------------------------------------------
 
 def _h_at(H, V, qpts):
@@ -668,8 +630,8 @@ def reconstruct_pressure(system, mode="exact"):
     lam, _ = V.pressure_modes()
     if _rank_deficient(lam):
         raise ValueError(
-            "divergence pairing is rank deficient: the (k=%d, m=%d) "
-            "pair is not inf-sup stable on this mesh" % (V.k, V.m))
+            "divergence pairing is rank deficient: the (k=%d, m=0) "
+            "pair is not inf-sup stable on this mesh" % V.k)
     rate = _SADDLE_SHIFT / (lam[1] + _SADDLE_SHIFT)
     steps = math.ceil(math.log(np.finfo(float).eps) / math.log(rate))
     areas = V.tri.areas()
@@ -1059,6 +1021,6 @@ def pressure_error_study(pi, hs, A, B):
     for h in hs:
         tri = triangulate([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
                           h)
-        V = FESpacePair(tri, k=2, m=0)
+        V = FESpacePair(tri, k=2)
         rows.append({"h": h, **pressure_error_row(pi, V, A, B)})
     return rows

@@ -399,8 +399,10 @@ def luxemburg_norm(u, A):
 
     Returns the upper end hi of a bracket with hi - lo <= rtol * hi,
     rtol = 1e-12, and M(hi) <= 1: the modular of |u|/hi never exceeds
-    1.  The shifted probes leave hi a margin above the root, which
-    keeps the modular of u * (1/hi) at most 1 as well.  The iterates
+    1.  Every lower end the search keeps has M(lo) > 1, the final one
+    included, so the modular of |u| / (hi (1 - rtol)) exceeds 1 for
+    any nonzero result.  The shifted probes leave hi a margin above the
+    root, which keeps the modular of u * (1/hi) at most 1 as well.  The iterates
     depend only on modular values, which are exactly rounded sums, so
     the result is invariant under rearrangement.  The zero field has
     norm 0.

@@ -31,8 +31,8 @@ from orlicz.bogovskii import (
     grid_field,
     split_function,
 )
-from orlicz.spaces import SampledField, luxemburg_norm
-from orlicz.young import power, zygmund
+from orlicz.spaces import SampledField, luxemburg_norm, modular
+from orlicz.young import linear_cap, power, zygmund
 
 DISK = StarDomain.disk(radius=1.0)
 
@@ -79,6 +79,34 @@ def test_star_check_rejects_bad_ball():
     ell = [(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)]
     with pytest.raises(ValueError):
         StarDomain(ell, (0.9, 0.4), 0.08)
+
+
+def _star_check_loop(D):
+    """star_check segment by segment: the reference for its one call."""
+    n_dirs, n_steps = 12, 9
+    ang = np.linspace(0, 2 * math.pi, n_dirs, endpoint=False)
+    ball_pts = D.ball_center + 0.999 * D.ball_radius * \
+        np.column_stack([np.cos(ang), np.sin(ang)])
+    ts = (np.arange(1, n_steps + 1)) / (n_steps + 1.0)
+    for vert in D.vertices:
+        for b in ball_pts:
+            seg = vert[None, :] * (1 - ts[:, None]) + b[None, :] * ts[:, None]
+            if not np.all(D.contains(seg)):
+                return False
+    return True
+
+
+def test_star_check_matches_segment_loop():
+    ell = [(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)]
+    bad = StarDomain(ell, (0.25, 0.25), 0.2)
+    # the constructor refuses this ball, so it is set afterwards
+    bad.ball_center, bad.ball_radius = np.array([0.9, 0.4]), 0.08
+    domains = [DISK, StarDomain.rectangle((0.0, 0.0), (2.0, 1.0)),
+               StarDomain(DISK.vertices, (0.1, -0.2), 0.45),
+               StarDomain(ell, (0.25, 0.25), 0.2), bad]
+    verdicts = [D.star_check() for D in domains]
+    assert verdicts == [_star_check_loop(D) for D in domains]
+    assert verdicts == [True, True, True, True, False]
 
 
 def test_contains_and_area():
@@ -139,7 +167,7 @@ def _gauss_ray_integrals(x, e, D):
 
 def test_ray_integrals_match_gauss_legendre_oracle():
     rng = np.random.default_rng(3)
-    D = StarDomain(DISK.vertices, (0.1, -0.2), 0.45, check=False)
+    D = StarDomain(DISK.vertices, (0.1, -0.2), 0.45)
     rays = []
     for _ in range(40):
         # start inside the ball, any direction
@@ -360,6 +388,22 @@ def test_modular_bound_stable_across_grids():
 def test_modular_bound_finite_for_zygmund_pair(disk32):
     c = check_modular_bound(disk32, zygmund(1.0, 1.0), power(1.0))
     assert 0 < c < 10.0
+
+
+def test_modular_bound_is_sufficient_and_tight(disk32):
+    f = disk32["f"]
+    gmag = disk32["gradient"].magnitude_field()
+    Z = zygmund(1.0, 1.0)
+    for A, B in [(power(2.0), power(2.0)), (Z, power(1.0)),
+                 (Z, Z.conjugate())]:
+        lhs = modular(gmag, B)
+        c = check_modular_bound(disk32, A, B)
+        assert modular(f * c, A) >= lhs
+        assert modular(f * ((1.0 - 1e-11) * c), A) < lhs
+    # a cap below the largest gradient makes the left side infinite
+    cap = linear_cap(0.5 * gmag.max_abs())
+    assert modular(gmag, cap) == math.inf
+    assert check_modular_bound(disk32, power(2.0), cap) == math.inf
 
 
 def test_modular_bound_zero_field():

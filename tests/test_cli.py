@@ -135,6 +135,18 @@ def test_bogovskii_rejects_shuffled_grid_csv(tmp_path, capsys):
     assert "bogovskii_field" in capsys.readouterr().err
 
 
+def test_polygon_domain_file(tmp_path, capsys):
+    # the L-shape is star-shaped for the first ball, not for the second
+    ell = [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]
+    for center, radius, rc in [([0.25, 0.25], 0.2, 0), ([0.9, 0.4], 0.08, 2)]:
+        doc = tmp_path / "ell.json"
+        doc.write_text(json.dumps({"vertices": ell, "ball_center": center,
+                                   "ball_radius": radius}))
+        assert run_cli("bogovskii", "--domain", str(doc), "--grid", "8",
+                       "--out", str(tmp_path)) == rc
+    assert "--domain" in capsys.readouterr().err
+
+
 def test_removed_quad_param_rejected(tmp_path, capsys):
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({"schema": 1, "experiment": "bogovskii_run",

@@ -25,7 +25,7 @@ SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 def spaces():
     out = {}
     for h in (0.5, 0.25, 0.125, 0.0625):
-        out[h] = fem.FESpacePair(fem.triangulate(SQUARE, h), k=2, m=0)
+        out[h] = fem.FESpacePair(fem.triangulate(SQUARE, h), k=2)
     return out
 
 
@@ -154,15 +154,13 @@ def test_dof_counts(spaces):
     assert V.n_pressure == 31
     # 9 interior vertices and 40 interior edges
     assert V.n_velocity == 2 * (9 + 40)
-    V1 = fem.FESpacePair(V.tri, k=1, m=0)
+    V1 = fem.FESpacePair(V.tri, k=1)
     assert V1.n_velocity == 2 * 9
 
 
 def test_space_validation(spaces):
     with pytest.raises(ValueError):
-        fem.FESpacePair(spaces[0.25].tri, k=3, m=0)
-    with pytest.raises(ValueError):
-        fem.FESpacePair(spaces[0.25].tri, k=2, m=1)
+        fem.FESpacePair(spaces[0.25].tri, k=3)
 
 
 def test_raw_pairing_rows_sum_to_zero(spaces):
@@ -265,7 +263,7 @@ def test_least_squares_matches_dense_lstsq_oracle(spaces, h):
 
 @pytest.mark.parametrize("h", [0.25, 0.125])
 def test_unstable_pair_error_names_it(spaces, h):
-    V1 = fem.FESpacePair(spaces[h].tri, k=1, m=0)
+    V1 = fem.FESpacePair(spaces[h].tri, k=1)
     system = fem.assemble_pressure_system(
         lambda p: np.zeros((len(p), 2, 2)), V1)
     with pytest.raises(ValueError, match=r"k=1.*m=0"):
@@ -327,7 +325,7 @@ def test_infsup_ascent_agrees_with_eigen(spaces):
 
 @pytest.mark.parametrize("h", [0.25, 0.125])
 def test_infsup_p1_p0_collapses(spaces, h):
-    V1 = fem.FESpacePair(spaces[h].tri, k=1, m=0)
+    V1 = fem.FESpacePair(spaces[h].tri, k=1)
     rep = fem.compute_infsup(V1, power(2), power(2), method="eigen")
     assert rep["rank_deficient"]
     assert rep["value"] <= 1e-6
@@ -388,7 +386,7 @@ def test_solvers_never_form_the_dense_gradient_gram(monkeypatch):
     monkeypatch.setattr(fem.FESpacePair, "velocity_gradient_gram", refuse)
     monkeypatch.setattr(fem.FESpacePair, "A_matrix", property(refuse))
     monkeypatch.setattr(fem.FESpacePair, "pressure_gram", refuse)
-    V = fem.FESpacePair(fem.triangulate(SQUARE, 0.25), k=2, m=0)
+    V = fem.FESpacePair(fem.triangulate(SQUARE, 0.25), k=2)
     p2 = power(2)
     assert fem.compute_infsup(V, p2, p2, method="eigen")["value"] > 0.5
     rep = fem.compute_infsup(V, zygmund(1, 1), power(1), restarts=1,
@@ -423,12 +421,42 @@ def test_infsup_eigen_bits_independent_of_blas_threads():
 
 # -- divergence-preserving interpolation -----------------------------------
 
+def evaluate_velocity(V, coeffs, pts):
+    """Velocity field values at arbitrary points, by brute-force element
+    location: the pointwise oracle of the interpolation tests."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    out = np.zeros((len(pts), 2))
+    p = V.tri.vertices
+    t = V.tri.simplices
+    for i, x in enumerate(pts):
+        for e in range(V.tri.n_simplices):
+            tri = p[t[e]]
+            mat = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
+            loc = np.linalg.solve(mat, x - tri[0])
+            lam = np.array([1.0 - loc.sum(), loc[0], loc[1]])
+            if lam.min() < -1e-12:
+                continue
+            shapes = fem._p2_shapes(lam) if V.k == 2 else lam
+            # scalar node ids of the element, in the local shape order
+            nodes = list(t[e])
+            if V.k == 2:
+                nodes += [V.tri.n_vertices + j for j in V.tri.simplex_edges[e]]
+            for a, node in enumerate(nodes):
+                d = V.node_dof[node]
+                if d < 0:
+                    continue
+                out[i, 0] += coeffs[2 * d] * shapes[a]
+                out[i, 1] += coeffs[2 * d + 1] * shapes[a]
+            break
+    return out
+
+
 def test_projection_idempotent_on_p2(spaces):
     V = spaces[0.25]
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(V.n_velocity)
     rep = fem.projection_apply(
-        lambda pts: fem.evaluate_velocity(V, coeffs, pts), V)
+        lambda pts: evaluate_velocity(V, coeffs, pts), V)
     assert np.abs(rep["coeffs"] - coeffs).max() <= 1e-12
 
 
@@ -476,14 +504,14 @@ def test_projection_zero_on_boundary(spaces):
     rep = fem.projection_apply(smooth_u, V)
     bpts = np.array([[0.0, 0.3], [1.0, 0.7], [0.55, 0.0], [0.25, 1.0],
                      [0.0, 0.0]])
-    vals = fem.evaluate_velocity(V, rep["coeffs"], bpts)
+    vals = evaluate_velocity(V, rep["coeffs"], bpts)
     assert np.abs(vals).max() <= 1e-13
 
 
 def test_projection_exact_at_h32():
     # the dual-graph Laplacian solve and the sparse araw behind the
     # defect check keep the 1/32 projection cheap
-    V = fem.FESpacePair(fem.triangulate(SQUARE, 1.0 / 32.0), k=2, m=0)
+    V = fem.FESpacePair(fem.triangulate(SQUARE, 1.0 / 32.0), k=2)
     rep = fem.projection_apply(smooth_u, V)
     assert rep["defect_after"] <= 1e-12
     assert rep["defect_before"] > 1e-8
@@ -499,7 +527,7 @@ def test_projection_on_corner_touching_squares():
                           a.n_vertices + np.arange(b.n_vertices - 1)])
     tri = fem.Triangulation(np.vstack([a.vertices, b.vertices[1:]]),
                             np.vstack([a.simplices, ids[b.simplices]]))
-    V = fem.FESpacePair(tri, k=2, m=0)
+    V = fem.FESpacePair(tri, k=2)
 
     def u(pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -523,7 +551,7 @@ def test_projection_on_corner_touching_squares():
 
 
 def test_projection_needs_quadratic_space(spaces):
-    V1 = fem.FESpacePair(spaces[0.25].tri, k=1, m=0)
+    V1 = fem.FESpacePair(spaces[0.25].tri, k=1)
     with pytest.raises(ValueError):
         fem.projection_apply(smooth_u, V1)
 
