@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orlicz.spaces import _NORM_RTOL, SampledField, grid_gradient, \
-    luxemburg_norm, modular, rearrange, rearrangement_bound_rhs, square_grid
+from orlicz.spaces import SampledField, grid_gradient, modular, \
+    modular_level_scale, rearrange, rearrangement_bound_rhs, square_grid
 
 __all__ = [
     "StarDomain",
@@ -522,12 +522,12 @@ def check_modular_bound(field_report, A, B):
     """Least C in [1e-6, 1e9] with integral B(|grad u|) <= integral
     A(C |f|); inf when even 1e9 falls short.
 
-    With f's measures divided by L = integral B(|grad u|), integral
-    A(|f|/lam) / L is the modular of the rescaled field, so the least C
-    is 1/lam for lam its Luxemburg norm.  The norm's bracket keeps a
-    lower end within the relative tolerance rtol of the returned upper
-    end, where that modular exceeds 1; C = 1/(lam (1 - rtol)) therefore
-    satisfies the inequality and errs high by at most rtol.
+    C is `modular_level_scale` of f at the level integral B(|grad u|):
+    one Luxemburg norm of f with its measures divided by that level, so
+    C satisfies the inequality and errs high by at most the norm's
+    relative tolerance.  An infinite left side (a capped B exceeded)
+    needs an infinite right side, which a capped A reaches at its cap;
+    for any other A, C is inf.
     """
     lhs = modular(field_report["gradient"].magnitude_field(), B)
     f = field_report["f"]
@@ -535,8 +535,7 @@ def check_modular_bound(field_report, A, B):
         return 1e-6
     if modular(f * 1e9, A) < lhs:
         return math.inf
-    scaled = SampledField(f.centroids, f.measures / lhs, f.values)
-    return 1.0 / (luxemburg_norm(scaled, A) * (1.0 - _NORM_RTOL))
+    return modular_level_scale(f, A, lhs)
 
 
 def check_rearrangement_estimate(f, gradient_field, C, n_s=100):

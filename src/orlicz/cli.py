@@ -15,6 +15,7 @@ driver errors, 2 for usage and config errors.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -1319,11 +1320,14 @@ def cmd_run(args):
 
 
 def build_parser():
+    # no prefix matching: a removed or mistyped flag is named as typed
+    # instead of standing for the one flag it abbreviates
     parser = argparse.ArgumentParser(
-        prog="orlicz",
+        prog="orlicz", allow_abbrev=False,
         description="Orlicz-norm, divergence-operator and pressure-"
                     "reconstruction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(sp, func, **defaults):
         sp.add_argument("--out", default=None,
@@ -1333,8 +1337,7 @@ def build_parser():
                         help="report id used in output file names")
         sp.set_defaults(func=func, **defaults)
 
-    sp = sub.add_parser("young", help="serialize and check one Young "
-                                      "function")
+    sp = add("young", help="serialize and check one Young function")
     sp.add_argument("--young", required=True,
                     help="family literal (power:2, zygmund:1:1, exp:0.5, "
                          "eyring, cap:1) or a JSON file")
@@ -1343,8 +1346,8 @@ def build_parser():
                                        for t in text.split(":")])
     common(sp, cmd_direct, experiment="young_doc")
 
-    sp = sub.add_parser("norm", help="Luxemburg norm and rearrangement "
-                                     "of a sampled field")
+    sp = add("norm", help="Luxemburg norm and rearrangement "
+                          "of a sampled field")
     sp.add_argument("--field", required=True,
                     help="expression name, .csv or .json field file")
     sp.add_argument("--young", required=True, help="family literal")
@@ -1354,8 +1357,8 @@ def build_parser():
                     help="also write the decreasing rearrangement CSV")
     common(sp, cmd_direct, experiment="norm_file")
 
-    sp = sub.add_parser("bogovskii", help="solve the divergence equation "
-                                          "and report the constants")
+    sp = add("bogovskii", help="solve the divergence equation "
+                               "and report the constants")
     sp.add_argument("--domain", help="disk, disk:R, or a polygon .json file")
     sp.add_argument("--f", help="expression name or .csv density")
     sp.add_argument("--grid", type=int)
@@ -1363,8 +1366,7 @@ def build_parser():
     sp.add_argument("--rearr-c", type=float, dest="rearr_c")
     common(sp, cmd_direct, experiment="bogovskii_run")
 
-    sp = sub.add_parser("negnorm", help="two-sided negative-norm check "
-                                        "for one field")
+    sp = add("negnorm", help="two-sided negative-norm check for one field")
     sp.add_argument("--u", required=True,
                     help="expression name or .csv field")
     sp.add_argument("--pair", required=True)
@@ -1372,8 +1374,7 @@ def build_parser():
     sp.add_argument("--grid", type=int)
     common(sp, cmd_direct, experiment="negnorm_field")
 
-    sp = sub.add_parser("fem", help="inf-sup, pressure and interpolation "
-                                    "experiments")
+    sp = add("fem", help="inf-sup, pressure and interpolation experiments")
     sp.add_argument("verb", choices=["infsup", "pressure", "projection"])
     sp.add_argument("--mesh", help="square:H[,H...] or a mesh .json file")
     sp.add_argument("--pair")
@@ -1383,8 +1384,8 @@ def build_parser():
     sp.add_argument("--seed", type=int)
     common(sp, cmd_direct, experiment="fem")
 
-    sp = sub.add_parser("run", help="run a config file, a named "
-                                    "experiment, or the whole suite")
+    sp = add("run", help="run a config file, a named "
+                         "experiment, or the whole suite")
     sp.add_argument("target", nargs="?",
                     help="config .json or experiment name")
     sp.add_argument("verb", nargs="?",

@@ -33,6 +33,7 @@ __all__ = [
     "rearrange",
     "modular",
     "luxemburg_norm",
+    "modular_level_scale",
     "holder_pairing_check",
     "hardy_average",
     "hardy_dual",
@@ -463,6 +464,29 @@ def luxemburg_norm(u, A):
             g_hi /= 2.0
         last = moved
     return hi
+
+
+def modular_level_scale(u, A, level):
+    """Least c > 0 with integral A(c |u|) >= level, for a SampledField
+    u and level > 0.
+
+    For a finite level, the modular of u with its measures divided by
+    level is M(c) / level, so the least c is 1/lam for lam that field's
+    Luxemburg norm.  Its bracket's lower end lies within rtol of lam and
+    has a modular above 1, so c = 1/(lam (1 - rtol)) reaches the level
+    and errs high by at most rtol.  For level = inf, the modular is
+    infinite once c |u| passes the cap of a capped A on some cell, so c
+    is that cap over max |u|, widened the same way; an A without a cap
+    turns infinite only by overflow, which bounds nothing, so c = inf.
+    """
+    if level < math.inf:
+        scaled = SampledField(u.centroids, u.measures / level, u.values)
+        return 1.0 / (luxemburg_norm(scaled, A) * (1.0 - _NORM_RTOL))
+    mags, meas = _norm_data(u)
+    mags = mags[meas > 0]
+    if not A.allows_infinity or not np.any(mags > 0):
+        return math.inf
+    return A.inf_threshold / (float(np.max(mags)) * (1.0 - _NORM_RTOL))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from orlicz.bogovskii import (
     split_function,
 )
 from orlicz.spaces import SampledField, luxemburg_norm, modular
-from orlicz.young import linear_cap, power, zygmund
+from orlicz.young import exponential, linear_cap, power, zygmund
 
 DISK = StarDomain.disk(radius=1.0)
 
@@ -404,6 +404,12 @@ def test_modular_bound_is_sufficient_and_tight(disk32):
     cap = linear_cap(0.5 * gmag.max_abs())
     assert modular(gmag, cap) == math.inf
     assert check_modular_bound(disk32, power(2.0), cap) == math.inf
+    # a capped A meets it just past its own cap, an uncapped one never
+    cap_a = linear_cap(0.5)
+    c = check_modular_bound(disk32, cap_a, cap)
+    assert modular(f * c, cap_a) == math.inf
+    assert modular(f * ((1.0 - 1e-11) * c), cap_a) < math.inf
+    assert check_modular_bound(disk32, exponential(0.5), cap) == math.inf
 
 
 def test_modular_bound_zero_field():

@@ -156,6 +156,20 @@ def test_removed_quad_param_rejected(tmp_path, capsys):
     assert "params.quad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fem", "infsup", "--m", "1"),
+    ("run", "fem_infsup", "--m", "1"),
+    ("bogovskii", "--gr", "8"),
+])
+def test_flags_are_not_abbreviated(tmp_path, capsys, argv):
+    # the removed --m and a prefix of --grid are named as typed, not
+    # read as --mesh, --method or --grid
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: %s %s" % argv[-2:] in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_negative_norm_bands_follow_depth(tmp_path, capsys):
     assert run_cli("run", "negnorm", "--depth", "1", "--grid", "16",
                    "--out", str(tmp_path)) == 2
