@@ -223,14 +223,10 @@ def triangulate(polygon, h_target, coarse=None):
 
 @dataclass(frozen=True)
 class StressLaw:
-    """Constitutive map S(xi)."""
+    """Constitutive map S(xi) = factor(|xi|) xi: ``factor`` maps an
+    array of s = |xi| > 0 (Frobenius) to the law's scalar factor."""
 
-    kind: str
-    nu0: float = 1.0
-    kappa0: float = 0.0
-    p: float = 2.0
-    lam0: float = 1.0
-    phi: object = None
+    factor: object
 
     @staticmethod
     def power(nu0, kappa0, p):
@@ -241,7 +237,7 @@ class StressLaw:
             raise ValueError("power-law exponent must exceed 1")
         if nu0 <= 0.0 or kappa0 < 0.0:
             raise ValueError("need nu0 > 0 and kappa0 >= 0")
-        return StressLaw("power", nu0=nu0, kappa0=kappa0, p=p)
+        return StressLaw(lambda s: nu0 * (kappa0 + s) ** (p - 2.0))
 
     @staticmethod
     def eyring(nu0, lam0):
@@ -250,19 +246,18 @@ class StressLaw:
                              % ((nu0, lam0),))
         if nu0 <= 0.0 or lam0 <= 0.0:
             raise ValueError("need nu0 > 0 and lam0 > 0")
-        return StressLaw("eyring", nu0=nu0, lam0=lam0)
+        return StressLaw(lambda s: nu0 * np.arcsinh(lam0 * s) / (lam0 * s))
 
     @staticmethod
     def potential(phi):
-        return StressLaw("potential", phi=phi)
+        return StressLaw(lambda s: phi.density(s) / s)
 
 
 def stress_eval(law, xi):
-    """S(xi) for a symmetric 2x2 tensor (or a stack of them).
+    """S(xi) = law.factor(s) xi for a symmetric 2x2 tensor (or a stack
+    of them), s = |xi| with 0 replaced by 1, and S(xi) = 0 where |xi| = 0.
 
-    Every shipped law is a scalar factor times xi, with the factor
-    continuous at 0 wherever the law allows, so S(0) = 0 and S(xi) is
-    parallel to xi with a nonnegative factor.
+    Every shipped factor is nonnegative, so S(xi) is parallel to xi.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-2:] != (2, 2):
@@ -271,17 +266,7 @@ def stress_eval(law, xi):
     if sym_gap > 1e-10 * max(1.0, np.abs(xi).max()):
         raise ValueError("xi must be symmetric")
     t = np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
-    safe = np.where(t > 0.0, t, 1.0)
-    if law.kind == "power":
-        base = law.kappa0 + (safe if law.kappa0 == 0.0 else t)
-        factor = law.nu0 * base ** (law.p - 2.0)
-    elif law.kind == "eyring":
-        factor = law.nu0 * np.arcsinh(law.lam0 * safe) / (law.lam0 * safe)
-    elif law.kind == "potential":
-        factor = law.phi.density(safe) / safe
-    else:
-        raise ValueError("unknown stress law %r" % law.kind)
-    out = factor[..., None, None] * xi
+    out = law.factor(np.where(t > 0.0, t, 1.0))[..., None, None] * xi
     return np.where(t[..., None, None] > 0.0, out, 0.0)
 
 
@@ -496,6 +481,9 @@ class FESpacePair:
         """
         if self._modes is None:
             T = self.tri.n_simplices
+            if T < 3:
+                raise ValueError("the pressure modes need at least 3 "
+                                 "triangles, the mesh has %d" % T)
             zero = np.zeros(self.n_velocity)
             shift_inv = LinearOperator(
                 (T, T), dtype=float,

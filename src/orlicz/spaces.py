@@ -58,19 +58,19 @@ class SampledField:
     """A function sampled on finitely many cells of a 2D domain.
 
     ``values`` has shape (N,) for scalars, (N, 2) for vectors and
-    (N, 2, 2) for matrices.  ``gradient``, when present, holds one extra
-    axis of length 2 (the derivative direction) appended after the cell
-    axis, so the gradient of a scalar field is (N, 2) and the gradient of
-    a vector field is (N, 2, 2) with entry [i, j] = d u_i / d x_j.
+    (N, 2, 2) for matrices.  A gradient is a field of its own on the same
+    cells, one rank up: its values append an axis of length 2 (the
+    derivative direction), so the gradient of a scalar field is (N, 2)
+    and the gradient of a vector field is (N, 2, 2) with entry [i, j] =
+    d u_i / d x_j.
     """
 
-    __slots__ = ("centroids", "measures", "values", "gradient")
+    __slots__ = ("centroids", "measures", "values")
 
-    def __init__(self, centroids, measures, values, gradient=None):
+    def __init__(self, centroids, measures, values):
         self.centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
         self.measures = np.asarray(measures, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.gradient = None if gradient is None else np.asarray(gradient, dtype=float)
         n = self.centroids.shape[0]
         if self.centroids.shape != (n, 2):
             raise ValueError("centroids must have shape (N, 2)")
@@ -80,8 +80,6 @@ class SampledField:
             raise ValueError("cell measures must be nonnegative")
         if self.values.shape[0] != n or self.values.ndim not in (1, 2, 3):
             raise ValueError("values must be (N,), (N,2) or (N,2,2)")
-        if self.gradient is not None and self.gradient.shape[0] != n:
-            raise ValueError("gradient must have one row per cell")
 
     # -- basic queries -------------------------------------------------
 
@@ -122,36 +120,26 @@ class SampledField:
 
     def mean_zero_project(self):
         """Subtract the mean; the result integrates to zero."""
-        return SampledField(self.centroids, self.measures,
-                            self.values - self.mean(), self.gradient)
+        return self.with_values(self.values - self.mean())
 
     def magnitude_field(self):
         return SampledField(self.centroids, self.measures, self.magnitude())
 
     # -- algebra (shared cells assumed) --------------------------------
 
-    def with_values(self, values, gradient=None):
-        return SampledField(self.centroids, self.measures, values, gradient)
+    def with_values(self, values):
+        return SampledField(self.centroids, self.measures, values)
 
     def __add__(self, other):
         return self.with_values(self.values + other.values)
 
-    def __sub__(self, other):
-        return self.with_values(self.values - other.values)
-
     def __mul__(self, c):
-        g = None if self.gradient is None else float(c) * self.gradient
-        return self.with_values(float(c) * self.values, g)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
+        return self.with_values(float(c) * self.values)
 
     # -- construction and serialization --------------------------------
 
     @staticmethod
-    def from_grid(values, h, gradient=None):
+    def from_grid(values, h):
         """Cell field on a uniform grid of spacing ``h``.
 
         ``values[i, j]`` is the sample at centroid
@@ -166,26 +154,18 @@ class SampledField:
         cent = np.column_stack([cx.ravel(), cy.ravel()])
         meas = np.full(nx * ny, h * h)
         vals = values.reshape(nx * ny, *values.shape[2:])
-        grad = None
-        if gradient is not None:
-            gradient = np.asarray(gradient, dtype=float)
-            grad = gradient.reshape(nx * ny, *gradient.shape[2:])
-        return SampledField(cent, meas, vals, grad)
+        return SampledField(cent, meas, vals)
 
     def to_dict(self):
-        d = {
+        return {
             "centroids": self.centroids.tolist(),
             "measures": self.measures.tolist(),
             "values": self.values.tolist(),
         }
-        if self.gradient is not None:
-            d["gradient"] = self.gradient.tolist()
-        return d
 
     @staticmethod
     def from_dict(d):
-        return SampledField(d["centroids"], d["measures"], d["values"],
-                            d.get("gradient"))
+        return SampledField(d["centroids"], d["measures"], d["values"])
 
     def __repr__(self):
         kind = ("scalar", "vector", "matrix")[self.rank]
@@ -309,14 +289,6 @@ class StepFunction:
 
     def is_nonincreasing(self):
         return bool(np.all(np.diff(self.values) <= 0))
-
-    def to_dict(self):
-        return {"breakpoints": self.edges[1:].tolist(),
-                "values": self.values.tolist()}
-
-    @staticmethod
-    def from_dict(d):
-        return StepFunction(d["breakpoints"], d["values"])
 
     def __repr__(self):
         return "StepFunction(%d steps on (0, %.6g])" % (self.n_cells, self.total)
@@ -529,7 +501,6 @@ def holder_pairing_check(u, v, A):
     if norm_v == 0.0:
         return report
     vm = v.magnitude()
-    sign = np.sign(v.values if v.rank == 0 else vm)
     shaped = v.values / np.where(vm == 0, 1.0, vm).reshape(
         (-1,) + (1,) * v.rank) if v.rank else np.sign(v.values)
     best = 0.0
@@ -732,17 +703,15 @@ def rearrangement_bound_rhs(f, s, C):
 # Poincare-type ratio
 
 
-def poincare_check(u, A):
-    """Ratio ||u - mean|| / (|domain|^(1/2) ||grad u||), both norms under A.
+def poincare_check(u, grad, A):
+    """Ratio ||u - mean|| / (|domain|^(1/2) ||grad||), both norms under A.
 
-    The field must carry a gradient.  A zero gradient with a nonconstant
-    field is rejected rather than reported as an infinite ratio.
+    ``grad`` is the gradient of u as a field on the same cells.  A zero
+    gradient with a nonconstant field is rejected rather than reported
+    as an infinite ratio.
     """
-    if u.gradient is None:
-        raise ValueError("poincare_check needs a field with a gradient")
-    grad_field = SampledField(u.centroids, u.measures, u.gradient)
     num = luxemburg_norm(u.mean_zero_project(), A)
-    den = math.sqrt(u.domain_measure) * luxemburg_norm(grad_field, A)
+    den = math.sqrt(u.domain_measure) * luxemburg_norm(grad, A)
     if den == 0.0:
         if num > 1e-13 * max(u.max_abs(), 1.0):
             raise ValueError("zero gradient supplied for a nonconstant field")

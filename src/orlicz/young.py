@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -348,12 +348,8 @@ def power(p, coeff=1.0):
         with np.errstate(divide="ignore"):
             return math.log(coeff) + p * np.log(s)
 
-    return YoungFunction(
-        "power", (p, coeff), dens, lambda s: coeff * s ** p,
-        log_eval_fn=lg,
-        logarg_density_fn=None if p == 1.0 else
-            (lambda u: coeff * p * np.exp(np.minimum((p - 1.0) * u, 709.0))),
-        logarg_logeval_fn=lambda u: math.log(coeff) + p * u)
+    return YoungFunction("power", (p, coeff), dens,
+                         lambda s: coeff * s ** p, log_eval_fn=lg)
 
 
 def zygmund(p, alpha):
@@ -379,11 +375,9 @@ def zygmund(p, alpha):
         r = np.asarray(r, float)
         L = np.log1p(r)
         out = p * r ** (p - 1.0) * L ** alpha
-        if alpha != 0.0:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = out + alpha * r ** p * L ** (alpha - 1.0) / (1.0 + r)
-            out = np.where(r == 0.0, 0.0, out)
-        return out
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = out + alpha * r ** p * L ** (alpha - 1.0) / (1.0 + r)
+        return np.where(r == 0.0, 0.0, out)
 
     # alpha < 0 can make the density fall, which no other family's
     # accepted parameters do, so only this family samples its density
@@ -408,8 +402,6 @@ def zygmund(p, alpha):
                      np.log1p(np.exp(np.minimum(u, 0.0))))
         with np.errstate(over="ignore"):
             lead = p * np.exp(np.minimum((p - 1.0) * u, 709.0)) * L ** alpha
-            if alpha == 0.0:
-                return lead
             corr = alpha * np.exp(np.minimum(u * p - np.logaddexp(0.0, u), 709.0)) \
                 * L ** (alpha - 1.0)
         return lead + corr
@@ -548,8 +540,6 @@ def linear_cap(threshold=1.0):
         return np.where(s <= th, -np.inf, np.inf)
 
     return YoungFunction("cap", (th,), dens, ev, log_eval_fn=lg,
-                         logarg_logeval_fn=lambda u: np.where(
-                             np.asarray(u, float) <= math.log(th), -np.inf, np.inf),
                          inf_threshold=th)
 
 
@@ -793,10 +783,6 @@ class GrowthClass:
     def holds(self):
         return self.verdict in ("global", "near_infinity")
 
-    def to_dict(self):
-        return {"verdict": self.verdict, "constant": self.constant,
-                "s0": self.s0}
-
 
 # Log-divergent least-c curves grow with top-window slope >= 1/log(range)
 # (0.036 on the default span); slowly convergent ones measure <= 0.016.
@@ -930,9 +916,6 @@ class BalanceReport:
     c_12: float
     t0: float
     admissible: bool
-    t_grid: np.ndarray = field(default=None, repr=False, compare=False)
-    curve_11: np.ndarray = field(default=None, repr=False, compare=False)
-    curve_12: np.ndarray = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {"c_11": self.c_11, "c_12": self.c_12,
@@ -1050,11 +1033,11 @@ def _one_side(envelope, t_grid, cum_log, log_tail, k0):
     if k0 < 0:
         logL = np.log(t_grid) + np.logaddexp(log_tail, cum_log)
         c = _least_c_curve_log(envelope, logL, t_grid)
-        return _sup_with_guard(c, t_grid, check_bottom=True), c
+        return _sup_with_guard(c, t_grid, check_bottom=True)
     logI = _log_sub(cum_log[k0:], cum_log[k0])
     logL = np.log(t_grid[k0:]) + logI
     c = _least_c_curve_log(envelope, logL, t_grid[k0:])
-    return _sup_with_guard(c, t_grid[k0:], check_bottom=False), c
+    return _sup_with_guard(c, t_grid[k0:], check_bottom=False)
 
 
 def check_balance(A, B, t0=None):
@@ -1076,23 +1059,21 @@ def check_balance(A, B, t0=None):
 
     if t0 is not None:
         k0 = -1 if t0 == 0.0 else int(np.searchsorted(t_grid, t0 * (1 - 1e-12)))
-        c11, curve1 = _one_side(A, t_grid, cum1, tail1, k0)
-        c12, curve2 = _one_side(B_t, t_grid, cum2, tail2, k0)
+        c11 = _one_side(A, t_grid, cum1, tail1, k0)
+        c12 = _one_side(B_t, t_grid, cum2, tail2, k0)
         return BalanceReport(c11, c12, float(t0),
-                             bool(np.isfinite(c11) and np.isfinite(c12)),
-                             t_grid, curve1, curve2)
+                             bool(np.isfinite(c11) and np.isfinite(c12)))
 
     for k0 in [-1] + list(range(0, _SCAN_POINTS - 8, 4)):
-        c11, curve1 = _one_side(A, t_grid, cum1, tail1, k0)
+        c11 = _one_side(A, t_grid, cum1, tail1, k0)
         if not np.isfinite(c11):
             continue
-        c12, curve2 = _one_side(B_t, t_grid, cum2, tail2, k0)
+        c12 = _one_side(B_t, t_grid, cum2, tail2, k0)
         if not np.isfinite(c12):
             continue
         t0_val = 0.0 if k0 < 0 else float(t_grid[k0])
-        return BalanceReport(c11, c12, t0_val, True, t_grid, curve1, curve2)
-    return BalanceReport(math.inf, math.inf, math.inf, False, t_grid,
-                         None, None)
+        return BalanceReport(c11, c12, t0_val, True)
+    return BalanceReport(math.inf, math.inf, math.inf, False)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,43 @@ def test_nonpositive_mesh_pitch_exit_2(tmp_path, capsys, argv, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("fem", "infsup", "--mesh", "square:1"), "--mesh (params.mesh)"),
+    (("fem", "pressure", "--mesh", "square:2"), "--mesh (params.mesh)"),
+    (("run", "fem_suite", "--set", "hs=[1]"), "params.hs"),
+    (("young", "--young", "exp:1", "--grid", "1:0.5:3"),
+     "--grid (params.grid)"),
+])
+def test_degenerate_meshes_and_grids_exit_2(tmp_path, capsys, argv, field):
+    # two triangles leave the pressure no mode past the constant one; a
+    # reversed sample grid would write its table backwards
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_two_triangle_projection_runs(tmp_path):
+    # the interpolation needs no pressure modes
+    assert run_cli("fem", "projection", "--mesh", "square:1",
+                   "--out", str(tmp_path)) == 0
+
+
+def test_bands_of_zero_or_infinite_ratios_are_infinite(tmp_path, capsys):
+    # on a 2 x 2 grid some corpus field scores 0, and a step pressure has
+    # an infinite error ratio: the bands read inf, not a crash or NaN
+    assert run_cli("run", "negative_norm", "--set", "n=2", "--set", "k=1",
+                   "--out", str(tmp_path)) == 1
+    rep = read_report(tmp_path, "negative_norm")
+    assert "error" not in rep
+    assert "FAIL ratio band within factor 4 for power:2:power:2 " \
+        "(value=inf, bound=4.0)" in capsys.readouterr().out
+    assert run_cli("run", "fem_pressure", "--set", "pi=step_x",
+                   "--mesh", "square:1/4,1/8", "--out", str(tmp_path)) == 0
+    text = (tmp_path / "fem_pressure.json").read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["data"]["ratio_band"] == math.inf
+
+
 def test_defaults_and_shipped_configs_pass_their_schema():
     # norm_file.field and negnorm_field.pair have no default: the direct
     # commands always set them

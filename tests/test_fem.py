@@ -377,6 +377,13 @@ def test_infsup_method_validation(spaces):
         fem.compute_infsup(V, power(2), power(2), method="magic")
 
 
+def test_two_triangle_mesh_has_no_pressure_modes():
+    # a 2 x 2 pencil has no eigenpair past the constant one for ARPACK
+    V = fem.FESpacePair(fem.triangulate(SQUARE, 1.0), k=2)
+    with pytest.raises(ValueError, match="the mesh has 2"):
+        V.pressure_modes()
+
+
 def test_solvers_never_form_the_dense_gradient_gram(monkeypatch):
     # every solver goes through the space's sparse factors; the dense
     # interleaved Gram, pairing and pressure Gram are left to the oracles
@@ -683,6 +690,47 @@ def test_potential_law_matches_eyring():
     a = fem.stress_eval(fem.StressLaw.potential(eyring()), xi_stack)
     b = fem.stress_eval(fem.StressLaw.eyring(1.0, 1.0), xi_stack)
     assert np.abs(a - b).max() <= 1e-12
+
+
+def test_stress_eval_matches_per_kind_formulas():
+    # oracle: each kind's factor written out, the power law with kappa0 > 0
+    # taken at |xi| itself rather than at |xi| with 0 replaced by 1; the
+    # outputs agree bit for bit
+    def oracle(kind, xi, nu0=1.0, kappa0=0.0, p=2.0, lam0=1.0, phi=None):
+        t = np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
+        safe = np.where(t > 0.0, t, 1.0)
+        if kind == "power":
+            base = kappa0 + (safe if kappa0 == 0.0 else t)
+            factor = nu0 * base ** (p - 2.0)
+        elif kind == "eyring":
+            factor = nu0 * np.arcsinh(lam0 * safe) / (lam0 * safe)
+        else:
+            factor = phi.density(safe) / safe
+        out = factor[..., None, None] * xi
+        return np.where(t[..., None, None] > 0.0, out, 0.0)
+
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((500, 2, 2)) * rng.uniform(1e-6, 1e3, (500, 1, 1))
+    xi = 0.5 * (a + np.swapaxes(a, -1, -2))
+    xi[::50] = 0.0
+    cases = [
+        (fem.StressLaw.power(2.5, 0.0, 1.5),
+         dict(kind="power", nu0=2.5, p=1.5)),
+        (fem.StressLaw.power(0.7, 0.3, 2.6),
+         dict(kind="power", nu0=0.7, kappa0=0.3, p=2.6)),
+        (fem.StressLaw.power(1.0, 0.5, 1.2),
+         dict(kind="power", kappa0=0.5, p=1.2)),
+        (fem.StressLaw.eyring(1.3, 2.0),
+         dict(kind="eyring", nu0=1.3, lam0=2.0)),
+        (fem.StressLaw.potential(power(3)),
+         dict(kind="potential", phi=power(3))),
+        (fem.StressLaw.potential(eyring()),
+         dict(kind="potential", phi=eyring())),
+    ]
+    for law, kw in cases:
+        got = fem.stress_eval(law, xi)
+        assert np.array_equal(got, oracle(xi=xi, **kw)), kw
+        assert np.all(got[::50] == 0.0)
 
 
 def test_stress_validation():

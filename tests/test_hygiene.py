@@ -52,3 +52,39 @@ def test_no_unreferenced_private_functions():
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in used]
     assert not found, "unreferenced private functions: " + ", ".join(found)
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _unused_locals(path):
+    """(line, name) of each name a function of path assigns in its own
+    scope and never reads, there or in a nested scope; names that start
+    with _ are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and not isinstance(n.ctx, ast.Store)}
+        stack, stores = list(fn.body), []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stores.append((node.lineno, node.id))
+            if not isinstance(node, _SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+        found += sorted((line, name) for line, name in set(stores)
+                        if name not in read and not name.startswith("_"))
+    return found
+
+
+def test_no_unused_locals():
+    found = ["%s:%d %s" % (path.name, line, name)
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _unused_locals(path)]
+    assert not found, "unused locals: " + ", ".join(found)
