@@ -50,6 +50,13 @@ _SCAN_POINTS = 240
 _CONJ_TABLE_POINTS = 16384
 _CONJ_TABLE_LO = 1e-9
 _CONJ_TABLE_HI = 1e9
+# the table's node inversion: density samples on a uniform log grid
+# bracket every node, Illinois steps close each bracket to a width of
+# _CONJ_RTOL * max(1, |log t|), and a node still open after _CONJ_STEPS
+# steps is bisected instead
+_CONJ_GRID_POINTS = 1024
+_CONJ_RTOL = 1e-12
+_CONJ_STEPS = 10
 
 # log t beyond which exp(t) would overflow the node arithmetic; the
 # log-domain bisection may range far past it since it never exponentiates
@@ -234,8 +241,8 @@ class YoungFunction:
 
         Powers and the capped kind conjugate in closed form; tabulated
         densities flip their knots exactly (piecewise-linear Legendre
-        duality); the remaining kinds conjugate through the density
-        inverse, evaluated by bisection.
+        duality); the remaining kinds conjugate by the Legendre formula
+        at the density inverse, read from a table (_build_conj_table).
         """
         if self._conj_cache is not None:
             return self._conj_cache
@@ -636,12 +643,12 @@ def _flip_tabulated(A):
 def _invert_density_logdomain(A, sigma):
     """log of the density inverse, searched in the log variable.
 
-    Targets that share a bracket share its midpoint, so sorted targets
-    probe in runs of equal midpoints: for a conjugate table one
-    midpoint serves all 16 384 nodes for the first 19-25 steps, and
-    about half of all probes repeat the one before.  The density is
-    evaluated once per run of bitwise-equal midpoints, so each target
-    sees the value it would see on its own.
+    The largest u with a(e^u) < sigma, for each target sigma.  Targets
+    that share a bracket share its midpoint, so sorted targets, such as
+    the table nodes that _invert_density_table leaves open, probe in
+    runs of equal midpoints.  The density is evaluated once per run of
+    bitwise-equal midpoints, so each target sees the value it would see
+    on its own.
     """
     sigma = np.asarray(sigma, float)
 
@@ -656,15 +663,122 @@ def _invert_density_logdomain(A, sigma):
     return _bisect_boundary_log(pred_u, sigma.shape)
 
 
-def _conj_log_eval_exact(A, s):
-    """log conj(A)(s) by the Legendre formula in the log domain.
+def _invert_density_table(A, sigma):
+    """_invert_density_logdomain for increasing 1-d targets, each to
+    within _CONJ_RTOL * max(1, |u|) in u, from a few density
+    evaluations per target.
 
-    Works where the maximizer t = a^{-1}(s) itself overflows double
-    range (conjugates of the logarithmic families grow like exp(s)):
-    only log t is ever formed.
+    The two end targets are bisected.  The density on a uniform grid of
+    u between their inverses is a monotone column of pairs (a(e^u), u),
+    the parametric form of the Legendre transform (Rockafellar, Convex
+    Analysis, section 26), and a search of the targets in that column
+    brackets each one.  Illinois regula falsi on g(u) = log a(e^u) -
+    log sigma then closes every bracket at once, probing the secant
+    root shifted by -tol/4 and then by +tol/4 as spaces.luxemburg_norm
+    does.  A target the grid does not bracket, or whose bracket is still
+    open after _CONJ_STEPS steps (where the density is flat, or
+    log sigma sits at rounding level), is bisected.
     """
+    u = np.empty(sigma.size)
+    u[[0, -1]] = ends = _invert_density_logdomain(A, sigma[[0, -1]])
+    pending = np.ones(sigma.size, bool)
+    pending[[0, -1]] = False
+    if np.all(np.isfinite(ends)) and ends[0] < ends[1]:
+        _close_brackets(A, np.log(sigma), ends, u, pending)
+    rest = np.flatnonzero(pending)
+    if rest.size:
+        u[rest] = _invert_density_logdomain(A, sigma[rest])
+    return u
+
+
+def _log_density_gap(A, u, log_sigma):
+    with np.errstate(divide="ignore"):
+        return np.log(A.density_logarg(u)) - log_sigma
+
+
+def _close_brackets(A, log_sigma, ends, u, pending):
+    """The grid brackets and Illinois steps of _invert_density_table:
+    writes u of every pending target whose bracket closes and clears
+    its pending flag."""
+    grid = np.linspace(ends[0], ends[1], _CONJ_GRID_POINTS)
+    log_a = _log_density_gap(A, grid, 0.0)
+    k = np.clip(np.searchsorted(np.maximum.accumulate(log_a), log_sigma),
+                1, grid.size - 1)
+    node = np.flatnonzero(pending & (log_a[k - 1] < log_sigma)
+                          & (log_sigma <= log_a[k]))
+    k, log_sigma = k[node], log_sigma[node]
+    lo, hi = grid[k - 1], grid[k]
+    g_lo, g_hi = log_a[k - 1] - log_sigma, log_a[k] - log_sigma
+    last = np.zeros(node.size, np.int8)
+    for step in range(_CONJ_STEPS + 1):
+        closed = hi - lo <= _CONJ_RTOL * np.maximum(1.0, np.maximum(-lo, hi))
+        u[node[closed]] = 0.5 * (lo[closed] + hi[closed])
+        pending[node[closed]] = False
+        if step == _CONJ_STEPS or np.all(closed):
+            return
+        keep = ~closed
+        node, log_sigma = node[keep], log_sigma[keep]
+        lo, hi, g_lo, g_hi = lo[keep], hi[keep], g_lo[keep], g_hi[keep]
+        last = _illinois_step(A, lo, hi, g_lo, g_hi, log_sigma, last[keep])
+
+
+def _illinois_step(A, lo, hi, g_lo, g_hi, log_sigma, last):
+    """One step on the brackets [lo, hi] of g with ends g_lo < 0 <= g_hi,
+    in place, as spaces.luxemburg_norm takes it.  last says which ends
+    the step before moved; returns which ends this one moved: hi (1),
+    lo (2), or, probing twice, either (3)."""
+    shift = _CONJ_RTOL / 4.0 * np.maximum(1.0, np.maximum(-lo, hi))
+    # where g is infinite at an end (the density vanishes or overflows)
+    # the step is a midpoint
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = (g_hi - g_lo) / (hi - lo)
+        root = hi - g_hi / slope
+    down, up = root - shift, root + shift
+    secant = np.isfinite(slope)
+    down_in = secant & (lo < down) & (down < hi)
+    up_in = secant & (lo < up) & (up < hi)
+    probe = np.where(down_in, down, np.where(up_in, up, 0.5 * (lo + hi)))
+    g = _log_density_gap(A, probe, log_sigma)
+    below = g < 0.0
+    np.copyto(lo, probe, where=below)
+    np.copyto(g_lo, g, where=below)
+    np.copyto(hi, probe, where=~below)
+    np.copyto(g_hi, g, where=~below)
+    moved = np.where(below, 2, 1).astype(np.int8)
+    # the second probe is skipped unless the first lands below the root
+    # and the secant does not put the root past the second
+    again = np.flatnonzero(below & down_in & up_in
+                           & (g >= -2.0 * slope * shift))
+    if again.size:
+        probe = up[again]
+        g = _log_density_gap(A, probe, log_sigma[again])
+        below = g < 0.0
+        lo[again] = np.where(below, probe, lo[again])
+        g_lo[again] = np.where(below, g, g_lo[again])
+        hi[again] = np.where(below, hi[again], probe)
+        g_hi[again] = np.where(below, g_hi[again], g)
+        moved[again] = 3
+    # Illinois: when one end moves two steps running, the value kept at
+    # the other end is halved
+    g_lo[(moved == 1) & (last == 1)] /= 2.0
+    g_hi[(moved == 2) & (last == 2)] /= 2.0
+    return moved
+
+
+def _conj_log_eval_exact(A, s):
+    """log conj(A)(s) by the Legendre formula at the bisected maximizer."""
     s = np.asarray(s, float)
-    u = _invert_density_logdomain(A, s)
+    return _legendre_log(A, s, _invert_density_logdomain(A, s))
+
+
+def _legendre_log(A, s, u):
+    """log conj(A)(s) = log(s t - A(t)) at the maximizer t = e^u.
+
+    Works where t = a^{-1}(s) itself overflows double range (conjugates
+    of the logarithmic families grow like exp(s)): only log t is ever
+    formed.  The value is stationary in t, so an error delta in u moves
+    it by O(delta^2) only.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logm = A.logeval_logarg(u) - u      # log of A(t)/t
         frac = np.exp(np.minimum(logm - np.log(s), 0.0))
@@ -697,10 +811,12 @@ def _conj_table_span(base):
 def _build_conj_table(C):
     """Monotone cubic table of log conj on a log abscissa grid.
 
-    Node values come from the log-domain Legendre formula; evaluation
-    outside the tabulated span falls back to that formula per call.  The
-    top end is confined so interpolation error stays tiny even for the
-    exponential-type conjugates, whose log value is convex in log s.
+    Node values come from the log-domain Legendre formula at maximizers
+    found by _invert_density_table, a few density evaluations per node;
+    evaluation outside the tabulated span takes the formula at a
+    bisected maximizer per call.  The top end is confined so
+    interpolation error stays tiny even for the exponential-type
+    conjugates, whose log value is convex in log s.
     Returns the breakpoints x = log(s - s_zero), scipy's PCHIP
     coefficients on them (shape (4, len(x) - 1)) and s_zero.
     """
@@ -710,7 +826,8 @@ def _build_conj_table(C):
         raise ValueError("conjugate vanishes over the whole table range")
 
     d = np.geomspace(d_lo, d_hi, _CONJ_TABLE_POINTS)
-    logv = _conj_log_eval_exact(base, s_zero + d)
+    s = s_zero + d
+    logv = _legendre_log(base, s, _invert_density_table(base, s))
     good = np.isfinite(logv)
     if not np.all(good):
         first = int(np.argmax(good))

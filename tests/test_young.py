@@ -293,6 +293,100 @@ def test_only_out_of_table_points_take_the_exact_formula(monkeypatch):
     assert lv.tobytes() == one.tobytes()
 
 
+def _table_nodes(C, monkeypatch):
+    """(s, log value) of every node of C's table, recorded as the table
+    builder hands its maximizers to the Legendre formula."""
+    seen = []
+    legendre = young._legendre_log
+
+    def recording(A, s, u):
+        out = legendre(A, s, u)
+        if A is C.base:
+            seen.append((s.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(young, "_legendre_log", recording)
+    C.log_eval(1.0)
+    monkeypatch.undo()
+    (nodes,) = seen
+    return nodes
+
+
+@pytest.mark.parametrize("spec", ["zygmund:1:1", "zygmund:2:1",
+                                  "zygmund:1:2", "exp:1", "exp:0.5",
+                                  "eyring", "zygmund:1:1 twice"])
+def test_conjugate_table_nodes_match_the_legendre_formula(spec,
+                                                          monkeypatch):
+    # each node's maximizer comes from a grid bracket closed by Illinois
+    # steps, not from a bisection; the formula is stationary in the
+    # maximizer, so every node must read what the bisected one gives.
+    # Within 1e-5 max(1, s0) of s0 the formula's s t - A(t) cancels, and
+    # its rounding follows the maximizer's last bits: for exp:1 both
+    # maximizers read up to 1.9e-9 off the closed form between 1e-6 and
+    # 1e-5 (test_exp_conjugate_table_matches_closed_form) and differ by
+    # up to 1.4e-9 there.  Worst deviation found farther out: 7.2e-11
+    # (zygmund:1:1)
+    C = parse_young(spec.split()[0]).conjugate()
+    if spec.endswith("twice"):
+        C = C.conjugate()
+    s, logv = _table_nodes(C, monkeypatch)
+    s_zero = C._table[2]
+    exact = young._conj_log_eval_exact(C.base, s)
+    assert np.array_equal(np.isfinite(logv), np.isfinite(exact))
+    far = np.isfinite(exact) & (s - s_zero >= 1e-5 * max(1.0, s_zero))
+    assert np.max(np.abs(logv[far] - exact[far])) <= 1e-9
+
+
+def test_open_brackets_take_the_bisection(monkeypatch):
+    # with no Illinois step every bracket stays open, so each node must
+    # come out bit for bit as the bisected Legendre formula gives it
+    monkeypatch.setattr(young, "_CONJ_STEPS", 0)
+    C = exponential(1.0).conjugate()
+    s, logv = _table_nodes(C, monkeypatch)
+    assert logv.tobytes() == young._conj_log_eval_exact(C.base, s).tobytes()
+
+
+def test_exp_conjugate_table_matches_closed_form(monkeypatch):
+    # conj(e^s - 1)(s) = s log s - s + 1, at s = 1 + d summed as
+    # sum_{k >= 2} (-d)^k / (k (k - 1)) for d < 0.1, so the truth does
+    # not cancel where the table's formula does.  The bounds are the
+    # worst log errors of the table built by bisecting every node:
+    # 3.66e-6 over the table and 1.85e-9 where d >= 1e-6
+    nodes = []
+
+    def recording(x, y, **kw):
+        nodes.append((x.copy(), y.copy()))
+        return PchipInterpolator(x, y, **kw)
+
+    monkeypatch.setattr(young, "PchipInterpolator", recording)
+    exponential(1.0).conjugate().log_eval(2.0)
+    (x, logv), = nodes
+    s = 1.0 + np.exp(x)
+    d = s - 1.0
+    k = np.arange(2, 30)
+    series = np.sum((-np.minimum(d, 0.1))[:, None] ** k / (k * (k - 1.0)),
+                    axis=1)
+    truth = np.log(np.where(d < 0.1, series, s * np.log(s) - s + 1.0))
+    err = np.abs(logv - truth)
+    assert np.max(err) <= 3.7e-6
+    assert np.max(err[d >= 1e-6]) <= 1.9e-9
+
+
+def test_conjugate_table_takes_few_density_evaluations(monkeypatch):
+    # bisecting each of the 16 384 nodes evaluated the zygmund:1:1
+    # density at 921 996 points
+    points = []
+    density_logarg = YoungFunction.density_logarg
+
+    def counting(self, u):
+        points.append(np.size(u))
+        return density_logarg(self, u)
+
+    monkeypatch.setattr(YoungFunction, "density_logarg", counting)
+    zygmund(1, 1).conjugate().log_eval(1.0)
+    assert sum(points) <= 200_000
+
+
 def test_numeric_conjugate_leaves_no_reference_cycle():
     # A caches its conjugate, which evaluates through A: were the two a
     # cycle, each dropped pair (with its tables) would wait for a full
