@@ -10,6 +10,9 @@ the quadratic case, an alternating ascent for general Orlicz pairs),
 and the divergence-preserving interpolation built from Scott-Zhang
 local averaging plus an interior-edge bubble correction.
 
+Assembly and sampling are products with two sparse maps per space,
+from scalar coefficients to values and to gradients at quadrature points.
+
 Norms of nonpolynomial quantities are Luxemburg norms of quadrature
 samplings; they are used only in ratios asserted to be stable, never
 as exact values.
@@ -333,7 +336,8 @@ class FESpacePair:
         self.n_velocity = 2 * self.n_scalar
         self.n_pressure = tri.n_simplices - 1
 
-        self._tables = self._araw = self._stiffness = None
+        self._tables = self._value_map = self._gradient_map = None
+        self._araw = self._stiffness = None
         self._stiffness_factor = self._saddle = self._modes = None
 
     def tables(self):
@@ -372,32 +376,53 @@ class FESpacePair:
                         "shapes": shapes, "grads": grads}
         return self._tables
 
-    def _scatter(self, local):
-        """Accumulate (T, L, 2) per-node, per-component values into a
-        velocity vector."""
+    def _quadrature_map(self, local):
+        """Sparse map whose row (t, q, x) holds local[t, q, a, x], local
+        broadcast to (T, q, L, m), in the column of the dof of node a of t;
+        the one place where element data meets the global dofs."""
         dofs = self.tables()["dofs"]
-        out = np.zeros(self.n_velocity)
-        mask = dofs >= 0
-        idx = dofs[mask]
-        np.add.at(out, 2 * idx, local[..., 0][mask])
-        np.add.at(out, 2 * idx + 1, local[..., 1][mask])
-        return out
+        (T, L), m = dofs.shape, local.shape[-1]
+        # rows (t, q, x) in order, each listing the dofs of t's nodes
+        cols = np.broadcast_to(dofs[:, None, None, :], (T, _N_QP, m, L))
+        keep = cols >= 0
+        data = np.swapaxes(np.broadcast_to(local, (T, _N_QP, L, m)), 2, 3)
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1))])
+        return csr_matrix((data[keep], cols[keep], indptr),
+                          shape=(T * _N_QP * m, self.n_scalar))
+
+    def value_map(self):
+        """Sparse map from scalar coefficients to values at the points of
+        tables()["qpts"], one row per (element t, point q)."""
+        if self._value_map is None:
+            shapes = self.tables()["shapes"][:, :, None]
+            self._value_map = self._quadrature_map(shapes)
+        return self._value_map
+
+    def gradient_map(self):
+        """Sparse map from scalar coefficients to gradients at the same
+        points, one row per (element t, point q, direction x)."""
+        if self._gradient_map is None:
+            self._gradient_map = self._quadrature_map(self.tables()["grads"])
+        return self._gradient_map
 
     @property
     def araw(self):
         """Sparse per-element divergence pairing, integral over S_e of
-        div phi_i; one entry per (element, local node, component)."""
+        div phi_i, in row 2i + c for component c of scalar node i: the
+        gradient map's rows of direction c summed per element with the
+        quadrature weights."""
         if self._araw is None:
-            tab = self.tables()
-            # integral of each shape gradient over the element
-            div = np.einsum("tq,tqlx->tlx", tab["qw"], tab["grads"])
-            dofs = tab["dofs"]
-            t, a = np.nonzero(dofs >= 0)
-            d = dofs[t, a]
-            self._araw = csr_matrix(
-                (np.concatenate([div[t, a, 0], div[t, a, 1]]),
-                 (np.concatenate([2 * d, 2 * d + 1]), np.tile(t, 2))),
-                shape=(self.n_velocity, self.tri.n_simplices))
+            qw = self.tables()["qw"]
+            T, q = qw.shape
+            # row (t, q, x) of the gradient map is summed into row x T + t
+            rows = np.repeat(np.arange(T)[:, None] + T * np.arange(2), q, 0)
+            sums = csr_matrix((qw.repeat(2), (rows.ravel(),
+                                              np.arange(rows.size))),
+                              shape=(2 * T, rows.size))
+            # the row-major reshape moves entry (i, x T + t) of the
+            # transpose to (2i + x, t)
+            self._araw = (sums @ self.gradient_map()).T.reshape(
+                self.n_velocity, T).tocsr()
         return self._araw
 
     @property
@@ -419,17 +444,12 @@ class FESpacePair:
 
     def scalar_stiffness(self):
         """Sparse scalar stiffness K, integral grad phi_i . grad phi_j
-        over the scalar nodes; the velocity Gram is G = kron(K, I2)."""
+        over the scalar nodes, as the weighted Gram of the gradient map;
+        the velocity Gram is G = kron(K, I2)."""
         if self._stiffness is None:
-            tab = self.tables()
-            loc = np.einsum("tq,tqax,tqbx->tab", tab["qw"],
-                            tab["grads"], tab["grads"])
-            rows = np.broadcast_to(tab["dofs"][:, :, None], loc.shape)
-            cols = np.swapaxes(rows, 1, 2)
-            keep = (rows >= 0) & (cols >= 0)
-            self._stiffness = csr_matrix(
-                (loc[keep], (rows[keep], cols[keep])),
-                shape=(self.n_scalar, self.n_scalar))
+            gmap = self.gradient_map()
+            weights = self.tables()["qw"].repeat(2)
+            self._stiffness = (gmap.T @ diags(weights) @ gmap).tocsr()
         return self._stiffness
 
     def velocity_gradient_gram(self):
@@ -503,28 +523,19 @@ class FESpacePair:
 
     # -- field sampling helpers ------------------------------------------
 
-    def coeff_tables(self, coeffs):
-        """Per-element coefficient arrays (T, L) for both components."""
-        dofs = self.tables()["dofs"]
-        safe = np.where(dofs >= 0, dofs, 0)
-        coeffs = np.asarray(coeffs, float)
-        c0 = np.where(dofs >= 0, coeffs[2 * safe], 0.0)
-        c1 = np.where(dofs >= 0, coeffs[2 * safe + 1], 0.0)
-        return c0, c1
-
     def pressure_field(self, values):
         cent = self.tri.vertices[self.tri.simplices].mean(axis=1)
         return SampledField(cent, self._areas, values)
 
+    def _quadrature_field(self, values):
+        tab = self.tables()
+        return SampledField(tab["qpts"].reshape(-1, 2), tab["qw"].ravel(),
+                            values)
+
     def velocity_samples(self, coeffs):
         """Velocity values at all quadrature points as a vector field."""
-        tab = self.tables()
-        c0, c1 = self.coeff_tables(coeffs)
-        v0 = np.einsum("tl,ql->tq", c0, tab["shapes"])
-        v1 = np.einsum("tl,ql->tq", c1, tab["shapes"])
-        vals = np.stack([v0, v1], axis=-1).reshape(-1, 2)
-        return SampledField(tab["qpts"].reshape(-1, 2),
-                            tab["qw"].ravel(), vals)
+        return self._quadrature_field(
+            self.value_map() @ np.reshape(coeffs, (-1, 2)))
 
     def gradient_samples(self, coeffs):
         """Velocity gradient at all quadrature points, as a matrix field.
@@ -533,42 +544,36 @@ class FESpacePair:
         weights, so Luxemburg norms of the returned field are the
         sampled gradient norms used throughout this module.
         """
-        tab = self.tables()
-        c0, c1 = self.coeff_tables(coeffs)
-        g0 = np.einsum("tl,tqlx->tqx", c0, tab["grads"])
-        g1 = np.einsum("tl,tqlx->tqx", c1, tab["grads"])
-        vals = np.stack([g0, g1], axis=-2).reshape(-1, 2, 2)
-        return SampledField(tab["qpts"].reshape(-1, 2),
-                            tab["qw"].ravel(), vals)
+        # row (t, q, x), column c holds d_x u_c; the field wants [cell, c, x]
+        grads = self.gradient_map() @ np.reshape(coeffs, (-1, 2))
+        return self._quadrature_field(grads.reshape(-1, 2, 2).swapaxes(1, 2))
 
 
 # -- pressure system -----------------------------------------------------
 
-def _h_at(H, V, qpts):
+def _h_at(H, qpts):
     """Tensor H at the full quadrature table, shape (T, q, 2, 2)."""
     T, q = qpts.shape[:2]
     if callable(H):
         return np.asarray(H(qpts.reshape(-1, 2)),
                           float).reshape(T, q, 2, 2)
-    if isinstance(H, SampledField):
-        if H.n_cells != T or H.rank != 2:
-            raise ValueError("matrix field must have one cell per simplex")
-        return np.broadcast_to(H.values[:, None, :, :], (T, q, 2, 2))
     H = np.asarray(H, float)
     if H.shape != (T, 2, 2):
-        raise ValueError("H must be (n_simplices, 2, 2), a callable, "
-                         "or a matrix SampledField")
+        raise ValueError("H must be (n_simplices, 2, 2) or a callable")
     return np.broadcast_to(H[:, None, :, :], (T, q, 2, 2))
 
 
 def assemble_pressure_system(H, V):
-    """Load vector b_i = integral H : grad phi_i; the pairing matrix
-    stays with the space."""
+    """Load vector b_i = integral H : grad phi_i, the transposed
+    gradient map applied to the weighted samples of H; the pairing
+    matrix stays with the space."""
     tab = V.tables()
-    Hq = _h_at(H, V, tab["qpts"])
-    # H : grad(shape_a e_c) = sum_s H[c, s] grad_a[s]
-    contrib = np.einsum("tq,tqcs,tqas->tac", tab["qw"], Hq, tab["grads"])
-    return {"b": V._scatter(contrib), "space": V}
+    Hq = _h_at(H, tab["qpts"])
+    # H : grad(phi_i e_c) = sum_x H[c, x] d_x phi_i, so row (t, q, x) of
+    # the weighted samples holds H[t, q, :, x]
+    wh = tab["qw"][:, :, None, None] * np.swapaxes(Hq, -1, -2)
+    b = V.gradient_map().T @ wh.reshape(-1, 2)
+    return {"b": b.ravel(), "space": V}
 
 
 # Shift of the saddle matrix's pressure block.  Any tau > 0 makes the
@@ -811,15 +816,11 @@ def projection_apply(u, V):
     nv = tri.n_vertices
     tab = V.tables()
 
-    # each interior node has one (element, local slot) pair whose element
-    # is its owner, the lowest-index incident element
-    node_ids = np.hstack([tri.simplices, nv + tri.simplex_edges])
-    elem = np.broadcast_to(np.arange(T)[:, None], node_ids.shape)
-    owner = np.full(nv + tri.n_edges, T)
-    np.minimum.at(owner, node_ids, elem)
-    t, a = np.nonzero((owner[node_ids] == elem)
-                      & (V.node_dof[node_ids] >= 0))
-    d = V.node_dof[node_ids[t, a]]
+    # np.nonzero runs through the elements in order, so a dof's first
+    # (element, slot) pair is in its owner, the lowest-index incident one
+    t, a = np.nonzero(tab["dofs"] >= 0)
+    d, first = np.unique(tab["dofs"][t, a], return_index=True)
+    t, a = t[first], a[first]
 
     # local L2 projections: the element mass matrix is the area times a
     # reference one, and the area cancels against the moments
@@ -912,12 +913,9 @@ def check_orlicz_projection_stability(grad_u, V, coeffs, A):
     """Luxemburg norm of the gradient of the interpolant with
     coefficients coeffs over that of grad_u, on the quadrature sampling."""
     num = luxemburg_norm(V.gradient_samples(coeffs), A)
-    tab = V.tables()
-    pts = tab["qpts"].reshape(-1, 2)
-    field = SampledField(pts, tab["qw"].ravel(),
-                         np.asarray(grad_u(pts), float))
-    den = luxemburg_norm(field, A)
-    return num / den
+    pts = V.tables()["qpts"].reshape(-1, 2)
+    field = V._quadrature_field(np.asarray(grad_u(pts), float))
+    return num / luxemburg_norm(field, A)
 
 
 # -- pressure error study -------------------------------------------------
@@ -964,11 +962,9 @@ def _best_p0_approx(pi, V, A):
 
 def _p0_error_field(pi, values, V):
     """(P0 values - pi) sampled at the quadrature points."""
-    tab = V.tables()
-    pts = tab["qpts"].reshape(-1, 2)
-    pv = np.asarray(pi(pts), float)
-    diff = np.repeat(np.asarray(values, float), _N_QP) - pv
-    return SampledField(pts, tab["qw"].ravel(), diff)
+    pv = np.asarray(pi(V.tables()["qpts"].reshape(-1, 2)), float)
+    return V._quadrature_field(np.repeat(np.asarray(values, float), _N_QP)
+                               - pv)
 
 
 def pressure_error_row(pi, V, A, B):

@@ -501,21 +501,21 @@ def holder_pairing_check(u, v, A):
     if norm_v == 0.0:
         return report
     vm = v.magnitude()
-    shaped = v.values / np.where(vm == 0, 1.0, vm).reshape(
-        (-1,) + (1,) * v.rank) if v.rank else np.sign(v.values)
+    # per-cell scalars broadcast against the values; for a scalar field
+    # v / |v| is sign(v)
+    cell = (-1,) + (1,) * v.rank
+    shaped = v.values / np.where(vm == 0, 1.0, vm).reshape(cell)
     best = 0.0
     witnesses = []
     with np.errstate(over="ignore", invalid="ignore"):
         dens = At.density(vm / norm_v)
     if np.all(np.isfinite(dens)):
-        witnesses.append(v.with_values(dens.reshape((-1,) + (1,) * v.rank) * shaped
-                                       if v.rank else dens * shaped))
+        witnesses.append(v.with_values(dens.reshape(cell) * shaped))
     vmax = float(np.max(vm))
     for q in (1.0, 0.999, 0.9, 0.5):
         mask = vm >= q * vmax - 1e-300
-        witnesses.append(v.with_values(
-            np.where(mask.reshape((-1,) + (1,) * v.rank) if v.rank else mask,
-                     shaped, 0.0)))
+        witnesses.append(v.with_values(np.where(mask.reshape(cell), shaped,
+                                                0.0)))
     for w in witnesses:
         nw = luxemburg_norm(w, A)
         if nw == 0.0:

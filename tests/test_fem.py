@@ -202,11 +202,13 @@ def test_h_input_forms_agree(spaces):
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(V.tri.n_simplices)
     arr = vals[:, None, None] * np.eye(2)[None, :, :]
-    field = V.pressure_field(vals)
-    mat_field = fem.SampledField(field.centroids, field.measures, arr)
+    # the callable form looks each point up in its element
+    owner = {tuple(x): t for t, pts in enumerate(V.tables()["qpts"])
+             for x in pts}
     b_arr = fem.assemble_pressure_system(arr, V)["b"]
-    b_fld = fem.assemble_pressure_system(mat_field, V)["b"]
-    assert np.array_equal(b_arr, b_fld)
+    b_fun = fem.assemble_pressure_system(
+        lambda pts: arr[[owner[tuple(x)] for x in pts]], V)["b"]
+    assert np.array_equal(b_arr, b_fun)
     with pytest.raises(ValueError):
         fem.assemble_pressure_system(arr[:5], V)
 
@@ -456,6 +458,23 @@ def evaluate_velocity(V, coeffs, pts):
                 out[i, 1] += coeffs[2 * d + 1] * shapes[a]
             break
     return out
+
+
+@pytest.mark.parametrize("k", [2, 1])
+def test_samples_match_pointwise_oracle(k):
+    # the value and gradient maps against brute-force evaluation; the
+    # central difference is exact for quadratics up to rounding
+    V = fem.FESpacePair(fem.triangulate(SQUARE, 0.25), k=k)
+    coeffs = np.random.default_rng(4).standard_normal(V.n_velocity)
+    pts = V.tables()["qpts"].reshape(-1, 2)
+    vals = V.velocity_samples(coeffs).values
+    assert np.abs(vals - evaluate_velocity(V, coeffs, pts)).max() <= 1e-12
+    step = 1e-6
+    fd = np.stack([(evaluate_velocity(V, coeffs, pts + step * e)
+                    - evaluate_velocity(V, coeffs, pts - step * e))
+                   / (2 * step) for e in np.eye(2)], axis=-1)
+    grads = V.gradient_samples(coeffs).values
+    assert np.abs(grads - fd).max() <= 1e-8
 
 
 def test_projection_idempotent_on_p2(spaces):

@@ -35,8 +35,9 @@ def test_no_unused_imports():
 
 
 def test_no_unreferenced_private_functions():
-    # a module-level _name function that no module of the package reads,
-    # by name or as an attribute, is dead code
+    # a module-level _name function, or a _name method of a module-level
+    # class, that no module of the package reads, by name or as an
+    # attribute, is dead code
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     used = set()
@@ -47,7 +48,10 @@ def test_no_unreferenced_private_functions():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     found = ["%s:%d %s" % (name, node.lineno, node.name)
-             for name, tree in trees.items() for node in tree.body
+             for name, tree in trees.items()
+             for node in tree.body + [m for c in tree.body
+                                      if isinstance(c, ast.ClassDef)
+                                      for m in c.body]
              if isinstance(node, ast.FunctionDef)
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in used]
