@@ -13,13 +13,14 @@ line integral along the ray leaving x away from y,
     I = |x-y| * J0 + J1,   Jm = integral w(x + t e) t^m dt,
 
 which is the form everything below evaluates.  On the ray, with
-b = e.(x - z0), Delta = b^2 - |x - z0|^2 + rho^2 and s = t + b, the bump
-is c rho^-8 (Delta - s^2)^4, so the chord of B is s in
-[max(-sqrt(Delta), b), sqrt(Delta)] and both integrals are closed-form:
-J0 is a degree-9 antiderivative in s, and J1 = c rho^-8 (Delta -
-s_lo^2)^5 / 10 - b J0.  J0 is evaluated in Horner form in s^2 with
-coefficients built once from Delta^2 and shared by both chord ends;
-every power is a product, never `**`.
+b = e.(x - z0), q = rho^2 - |x - z0|^2, Delta = b^2 + q and s = t + b,
+the bump is c rho^-8 (Delta - s^2)^4.  From x outside B (q <= 0) only
+rays with b < 0 meet B, each across its whole chord, so J0 = c rho^-8
+(256/315) Delta^(9/2) and J1 = -b J0.  From inside, every ray runs from
+s = b to sqrt(Delta): J0 = c rho^-8 ((128/315) Delta^(9/2) - P(b)), P
+the degree-9 antiderivative of (Delta - s^2)^4 in Horner form in s^2,
+and J1 = c rho^-8 q^5 / 10 - b J0.  Targets are split at B so that a
+block takes one form; every power is a product, never `**`.
 
 Densities are cell fields on a uniform grid clipped to the domain
 (outside cells keep value and measure zero).  The outer integral is a
@@ -238,69 +239,62 @@ def _grid_step(f, what):
 # kernel evaluation
 
 
-def _ray_integrals(x, e, D):
+def _ray_integrals(x, e, D, outside):
     """J0 = int w(x + t e) dt and J1 = int w(x + t e) t dt over t >= 0.
 
-    Exact antiderivatives over the chord of the support ball cut by the
-    ray (see the module docstring); rays that miss contribute zero.
-    x = (x0, x1) and e = (e0, e1) hold the components of the origins
-    and unit directions as separate arrays that broadcast together, so
-    an (n, 2) array of points goes in transposed.  Every power of Delta
-    is a product.  The arithmetic runs in place where it can: on
-    block-sized arrays a fresh temporary (allocation and first-touch
-    page faults) costs several times the arithmetic done on it.
+    The closed forms of the module docstring, for origins all outside
+    the ball (``outside``) or all inside it.  x = (x0, x1) and e = (e0,
+    e1) hold origin and unit-direction components as separate arrays
+    that broadcast together, so an (n, 2) array of points goes in
+    transposed.  Arithmetic runs in place where it can: on block-sized
+    arrays a fresh temporary (allocation and first-touch page faults)
+    costs several times the arithmetic done on it.
     """
     zx = x[0] - D.ball_center[0]
     zy = x[1] - D.ball_center[1]
     rho2 = D.ball_radius ** 2
+    q = rho2 - (zx * zx + zy * zy)   # fixed per origin
     b = e[0] * zx
     b += e[1] * zy
     delta = b * b
-    delta -= zx * zx + zy * zy
-    delta += rho2
-    s_hi = np.sqrt(np.maximum(delta, 0.0))
-    s_lo = np.maximum(-s_hi, b)
-    hit = s_hi > s_lo
+    delta += q
     scale = 5.0 / (math.pi * rho2 * rho2 ** 4)   # c rho^-8, c of the bump
+    d2 = delta * delta
+    d4 = d2 * d2
 
-    # (Delta - s^2)^4 = c0 + c1 s^2 + c2 s^4 + c3 s^6 + s^8, integrated
-    c2 = delta * delta
-    c0 = c2 * c2
-    c1 = c2 * delta
-    c1 *= -4.0 / 3.0
-    c2 *= 1.2
-    c3 = delta * (-4.0 / 7.0)
+    if outside:
+        J0 = np.sqrt(np.maximum(delta, 0.0, out=delta), out=delta)
+        J0 *= d4
+        J0 *= scale * 256.0 / 315.0
+        J0 *= b < 0
+        J1 = b * J0
+        np.negative(J1, out=J1)
+        return J0, J1
 
-    def anti(s):
-        # antiderivative of (delta - s^2)^4, Horner form in s^2
-        u = s * s
-        acc = u / 9.0
-        for c in (c3, c2, c1):
-            acc += c
-            acc *= u
-        acc += c0
-        acc *= s
-        return acc
-
-    J0 = anti(s_hi)
-    J0 -= anti(s_lo)
+    # P(b) from (Delta - s^2)^4 = s^8 + c3 s^6 + c2 s^4 + c1 s^2 + Delta^4
+    u = b * b
+    acc = u / 9.0
+    for c in (delta * (-4.0 / 7.0), d2 * 1.2, d2 * delta * (-4.0 / 3.0)):
+        acc += c
+        acc *= u
+    acc += d4
+    acc *= b
+    J0 = np.sqrt(delta, out=delta)
+    J0 *= d4
+    J0 *= 128.0 / 315.0
+    J0 -= acc
     J0 *= scale
-    q = delta - s_lo * s_lo
-    J1 = q * q
-    J1 *= J1
-    J1 *= q
-    J1 *= scale
-    J1 /= 10.0
-    J1 -= b * J0
-    return J0 * hit, J1 * hit
+    J1 = b * J0
+    np.subtract(q * q * q * q * q * (scale / 10.0), J1, out=J1)
+    return J0, J1
 
 
-def _kernel_sum(x, Y, w, D):
+def _kernel_sum(x, Y, w, D, outside):
     """sum_j w_j k(x, y_j) over the last axis, as an (..., 2) array.
 
-    k(x, y) = (x-y)/|x-y|^2 * (|x-y| J0 + J1).  x = (x0, x1) and
-    Y = (y0, y1) are component arrays that broadcast to (..., n), and w
-    broadcasts against them.  Coincident points contribute zero.
+    k(x, y) = (x-y)/|x-y|^2 * (|x-y| J0 + J1), ``outside`` as in
+    _ray_integrals.  x = (x0, x1) and Y = (y0, y1) are component arrays
+    broadcasting to (..., n), as does w; coincident points add zero.
     """
     dx = x[0] - Y[0]
     dy = x[1] - Y[1]
@@ -308,7 +302,7 @@ def _kernel_sum(x, Y, w, D):
     dist += dy * dy
     np.sqrt(dist, out=dist)
     safe = dist + (dist == 0)
-    J0, J1 = _ray_integrals(x, (dx / safe, dy / safe), D)
+    J0, J1 = _ray_integrals(x, (dx / safe, dy / safe), D, outside)
     J0 /= safe
     J1 /= safe * safe
     J0 += J1
@@ -317,14 +311,15 @@ def _kernel_sum(x, Y, w, D):
                      np.einsum("...n,...n->...", J0, dy)], axis=-1)
 
 
-def _singular_cells(X, C, h, D):
+def _singular_cells(X, C, h, D, outside):
     """integral of k(x, .) over the grid cell centred at c, per row.
 
     X and C are (S, 2): targets and the centres of the cells holding
-    them.  In polar coordinates around x the kernel is
-    -n(theta)(J0 + J1/r), so the radial integral is exact and only
-    theta is sampled: integral = -int n(theta) (J0 R^2/2 + J1 R) dtheta
-    with R the exit distance of the ray from x to the cell boundary.
+    them, all on the ``outside`` side of the mollifier ball.  In polar
+    coordinates around x the kernel is -n(theta)(J0 + J1/r), so the
+    radial integral is exact and only theta is sampled: integral =
+    -int n(theta) (J0 R^2/2 + J1 R) dtheta with R the exit distance of
+    the ray from x to the cell boundary.
     """
     m = _SINGULAR_THETA
     theta = (np.arange(m) + 0.5) * (2 * math.pi / m)
@@ -337,7 +332,7 @@ def _singular_cells(X, C, h, D):
                         C[:, k:k + 1] - 0.5 * h)
         exits.append((wall - X[:, k:k + 1]) / nk)
     R = np.minimum(*exits)
-    J0, J1 = _ray_integrals(X.T[:, :, None], -n_dir.T, D)
+    J0, J1 = _ray_integrals(X.T[:, :, None], -n_dir.T, D, outside)
     radial = J0 * R * R / 2.0 + J1 * R
     dtheta = 2 * math.pi / m
     return -dtheta * np.einsum("sm,mc->sc", radial, n_dir)
@@ -347,12 +342,13 @@ def _field_at(f, D, X, h):
     """The solution field at the rows of X, a (T, 2) array of points.
 
     f is a mean-zero clipped grid field of spacing h.  Targets go in
-    blocks sized by _PAIR_BLOCK.  Per block, cells more than
-    _NEAR_RADIUS + 1/2 spacings away (Chebyshev) take the midpoint rule
-    in one (B x N) evaluation; nearer cells take the refined midpoint
-    rule, gathered as (pairs x subcells) and summed per target with
-    np.bincount; the cell holding a target takes the polar rule.  The
-    sums avoid BLAS, so the result does not depend on its thread count.
+    blocks sized by _PAIR_BLOCK, those outside the mollifier ball apart
+    from those inside.  Per block, cells more than _NEAR_RADIUS + 1/2
+    spacings away (Chebyshev) take the midpoint rule in one (B x N)
+    evaluation; nearer cells take the refined midpoint rule, gathered
+    as (pairs x subcells) and summed per target with np.bincount; the
+    cell holding a target takes the polar rule.  The sums avoid BLAS,
+    so the result does not depend on its thread count.
     """
     X = np.asarray(X, dtype=float)
     U = np.zeros((X.shape[0], 2))
@@ -374,30 +370,34 @@ def _field_at(f, D, X, h):
     side = 2 * math.floor(_NEAR_RADIUS + 0.5) + 1
     near_evals = side * side * r * r
     block = max(1, _PAIR_BLOCK // max(act.size, near_evals))
-    for t0 in range(0, X.shape[0], block):
-        Xb = X[t0:t0 + block]
-        xb = Xb.T[:, :, None]
-        cheb = np.maximum(np.abs(xb[0] - Yc[0]), np.abs(xb[1] - Yc[1]))
-        near = cheb <= near_reach
-        Ub = _kernel_sum(xb, Yc, np.where(near, 0.0, w), D)
+    outside = np.sum((X - D.ball_center) ** 2, axis=1) >= D.ball_radius ** 2
+    for out in (True, False):
+        targets = np.nonzero(outside == out)[0]
+        for t0 in range(0, targets.size, block):
+            rows = targets[t0:t0 + block]
+            Xb = X[rows]
+            xb = Xb.T[:, :, None]
+            cheb = np.maximum(np.abs(xb[0] - Yc[0]), np.abs(xb[1] - Yc[1]))
+            near = cheb <= near_reach
+            Ub = _kernel_sum(xb, Yc, np.where(near, 0.0, w), D, out)
 
-        # the cell holding a target is left to the polar rule
-        own = np.argmin(cheb, axis=1)
-        holds = cheb[np.arange(Xb.shape[0]), own] < own_reach
-        bi, j = np.nonzero(near)
-        keep = ~(holds[bi] & (j == own[bi]))
-        bi, j = bi[keep], j[keep]
-        if bi.size:
-            sub = Yc[:, j, None] + sub_off[:, None, :]
-            c = _kernel_sum(xb[:, bi], sub, sub_w[j, None], D)
-            for k in (0, 1):
-                Ub[:, k] += np.bincount(bi, weights=c[:, k],
-                                        minlength=Xb.shape[0])
-        if np.any(holds):
-            o = own[holds]
-            Ub[holds] += vals[o][:, None] * _singular_cells(
-                Xb[holds], Y[o], h, D)
-        U[t0:t0 + block] = Ub
+            # the cell holding a target is left to the polar rule
+            own = np.argmin(cheb, axis=1)
+            holds = cheb[np.arange(Xb.shape[0]), own] < own_reach
+            bi, j = np.nonzero(near)
+            keep = ~(holds[bi] & (j == own[bi]))
+            bi, j = bi[keep], j[keep]
+            if bi.size:
+                sub = Yc[:, j, None] + sub_off[:, None, :]
+                c = _kernel_sum(xb[:, bi], sub, sub_w[j, None], D, out)
+                for k in (0, 1):
+                    Ub[:, k] += np.bincount(bi, weights=c[:, k],
+                                            minlength=Xb.shape[0])
+            if np.any(holds):
+                o = own[holds]
+                Ub[holds] += vals[o][:, None] * _singular_cells(
+                    Xb[holds], Y[o], h, D, out)
+            U[rows] = Ub
     return U
 
 

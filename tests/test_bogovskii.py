@@ -191,14 +191,27 @@ def test_ray_integrals_match_gauss_legendre_oracle():
             x = D.ball_center + np.array([-2.0, sign * D.ball_radius
                                           * (1 - eps)])
             rays.append((x, np.array([1.0, 0.0])))
-    got = np.array([np.array(_ray_integrals(x, e[:, None], D))[:, 0]
-                    for x, e in rays])
-    # one call over every ray: x broadcasts along with e
+    # on the ball circle, aimed in (b < 0, hits) and out (b > 0, misses)
+    x = D.ball_center + D.ball_radius * np.array([0.6, 0.8])
+    e = np.array([-0.8, 0.6]) + 0.1 * np.array([-0.6, -0.8])
+    e /= np.linalg.norm(e)
+    rays += [(x, e), (x, -e)]
     xs, es = (np.array(col) for col in zip(*rays))
-    got_all = np.column_stack(_ray_integrals(xs.T, es.T, D))
+    d2 = np.sum((xs - D.ball_center) ** 2, axis=1)
+    assert d2[-1] == D.ball_radius ** 2          # exactly on the circle
+    outside = d2 >= D.ball_radius ** 2
+    assert np.sum(~outside) == 40
+    got = np.array([np.array(_ray_integrals(x, e[:, None], D, out))[:, 0]
+                    for x, e, out in zip(xs, es, outside)])
+    # one call per side of the ball: x broadcasts along with e
+    got_all = np.zeros((len(rays), 2))
+    for out in (True, False):
+        got_all[outside == out] = np.column_stack(_ray_integrals(
+            xs[outside == out].T, es[outside == out].T, D, out))
     want = np.array([_gauss_ray_integrals(x, e, D) for x, e in rays])
     assert np.sum(want[:, 0] == 0.0) >= 40       # the misses
     assert np.sum(want[:, 0] > 0.0) >= 80        # the hits
+    assert want[-2, 0] > 0.0 and want[-1, 0] == 0.0
     for j in (0, 1):
         scale = np.max(np.abs(want[:, j]))
         assert np.max(np.abs(got[:, j] - want[:, j])) <= 1e-13 * scale
@@ -226,6 +239,24 @@ def test_point_evaluation_is_continuous_inside_a_cell():
         for step in ([-1e-3, 0.0], [0.0, 1e-3], [7e-4, -7e-4]):
             u = bogovskii_apply(f, f.centroids[k] + h * np.array(step), DISK)
             assert np.max(np.abs(u - U[k])) <= 1e-2 * np.max(np.abs(U[k]))
+
+
+def test_point_evaluation_matches_field_on_both_sides_of_the_ball(disk32):
+    # the field runs targets outside and inside the mollifier ball in
+    # separate blocks and writes them back in cell order; each cell
+    # evaluated alone must read the same
+    f, U = disk32["f"], disk32["u"].values
+    d = np.linalg.norm(f.centroids - DISK.ball_center, axis=1)
+    rho = DISK.ball_radius
+    inner = np.nonzero(d < rho)[0]
+    outer = np.nonzero((d >= rho) & (f.measures > 0))[0]
+    ghost = np.nonzero(f.measures == 0)[0]
+    cells = [inner[np.argmin(d[inner])], inner[np.argmax(d[inner])],
+             outer[np.argmin(d[outer])], outer[np.argmax(d[outer])],
+             ghost[np.argmin(d[ghost])]]
+    for k in cells:
+        u = bogovskii_apply(f, f.centroids[k], DISK)
+        assert np.max(np.abs(u - U[k])) <= 1e-13 * np.max(np.abs(U[k]))
 
 
 def _shuffled(f):
