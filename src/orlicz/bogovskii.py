@@ -29,8 +29,16 @@ the evaluation point, and an exact-in-radius polar rule over the cell
 containing it, where only the angular integral needs quadrature.  One
 evaluator serves one point and a whole grid alike: it takes targets in
 blocks of a fixed kernel-evaluation budget, evaluates the far field of
-a block as one (targets x cells) array, and adds the near cells and
-the singular cell as gathered per-target corrections.
+an inside block as one (targets x cells) array, and adds the near
+cells and the singular cell as gathered per-target corrections.  From
+a target outside B most rays miss B and add exact zeros: a ray meets B
+iff (x-y).(x-z0) < 0 and ((x-y).(x-z0))^2 > (|x-z0|^2 - rho^2)|x-y|^2
+(b < 0 and Delta > 0 above, without a root), so an outside block
+gathers only those far pairs, and splits into subcells only the near
+cells that a cone around x - y_c may carry to B.  Every block-sized
+pass writes into work arrays made once per call: on arrays this size
+a fresh temporary (allocation and first-touch page faults) costs
+several times the arithmetic done on it.
 """
 
 from __future__ import annotations
@@ -65,8 +73,8 @@ _NEAR_REFINE = 4
 _SINGULAR_THETA = 96
 
 # Targets are evaluated in blocks of at most this many kernel
-# evaluations in the far field and again in the near field, so a
-# block's temporaries stay near 256 KiB each.
+# evaluations in the far field and again in the near field, so each
+# work array stays near 256 KiB.
 _PAIR_BLOCK = 1 << 15
 
 
@@ -130,11 +138,20 @@ class StarDomain:
     # -- the bump -------------------------------------------------------
 
     def mollifier(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        d2 = np.sum((pts - self.ball_center) ** 2, axis=-1)
-        q = 1.0 - d2 / self.ball_radius ** 2
-        c = 5.0 / (math.pi * self.ball_radius ** 2)
-        return c * np.where(q > 0, q, 0.0) ** 4
+        z = np.asarray(pts, dtype=float) - self.ball_center
+        return self._bump(z[..., 0] * z[..., 0] + z[..., 1] * z[..., 1])
+
+    def _bump(self, d2):
+        """The bump at squared distances d2 from the centre, computed in
+        the storage of d2."""
+        q = np.asarray(d2)
+        q /= self.ball_radius ** 2
+        np.subtract(1.0, q, out=q)
+        np.maximum(q, 0.0, out=q)
+        q *= q
+        q *= q
+        q *= 5.0 / (math.pi * self.ball_radius ** 2)
+        return q[()]
 
     def mollifier_mass(self):
         """Midpoint-rule integral of the bump, a quadrature sanity check."""
@@ -142,11 +159,10 @@ class StarDomain:
         r = self.ball_radius
         lo = self.ball_center - r
         h = 2.0 * r / n
-        xs = lo[0] + (np.arange(n) + 0.5) * h
-        ys = lo[1] + (np.arange(n) + 0.5) * h
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        return float(np.sum(self.mollifier(pts)) * h * h)
+        dx = lo[0] + (np.arange(n) + 0.5) * h - self.ball_center[0]
+        dy = lo[1] + (np.arange(n) + 0.5) * h - self.ball_center[1]
+        d2 = (dx * dx)[:, None] + (dy * dy)[None, :]
+        return float(np.sum(self._bump(d2)) * h * h)
 
     # -- stock shapes -----------------------------------------------------
 
@@ -239,44 +255,61 @@ def _grid_step(f, what):
 # kernel evaluation
 
 
-def _ray_integrals(x, e, D, outside):
+def _views(work, shape, k):
+    """k arrays of the given shape: views into the first k rows of work,
+    a 2-d array of flat rows at least that large, or fresh float arrays
+    when work is None."""
+    if work is None:
+        return [np.empty(shape) for _ in range(k)]
+    n = math.prod(shape)
+    return [row[:n].reshape(shape) for row in work[:k]]
+
+
+def _ray_integrals(x, e, D, outside, work=None):
     """J0 = int w(x + t e) dt and J1 = int w(x + t e) t dt over t >= 0.
 
     The closed forms of the module docstring, for origins all outside
     the ball (``outside``) or all inside it.  x = (x0, x1) and e = (e0,
     e1) hold origin and unit-direction components as separate arrays
     that broadcast together, so an (n, 2) array of points goes in
-    transposed.  Arithmetic runs in place where it can: on block-sized
-    arrays a fresh temporary (allocation and first-touch page faults)
-    costs several times the arithmetic done on it.
+    transposed.  Every pass over the broadcast shape writes into one of
+    seven arrays, views of the rows of ``work`` when it is given (see
+    _views); J0 and J1 come back in two of them.
     """
     zx = x[0] - D.ball_center[0]
     zy = x[1] - D.ball_center[1]
     rho2 = D.ball_radius ** 2
     q = rho2 - (zx * zx + zy * zy)   # fixed per origin
-    b = e[0] * zx
-    b += e[1] * zy
-    delta = b * b
+    shape = np.broadcast_shapes(np.shape(q), np.shape(e[0]),
+                                np.shape(e[1]))
+    b, delta, d2, d4, u, acc, t = _views(work, shape, 7)
+    np.multiply(e[0], zx, out=b)
+    b += np.multiply(e[1], zy, out=t)
+    np.multiply(b, b, out=delta)
     delta += q
     scale = 5.0 / (math.pi * rho2 * rho2 ** 4)   # c rho^-8, c of the bump
-    d2 = delta * delta
-    d4 = d2 * d2
+    np.multiply(delta, delta, out=d2)
+    np.multiply(d2, d2, out=d4)
 
     if outside:
         J0 = np.sqrt(np.maximum(delta, 0.0, out=delta), out=delta)
         J0 *= d4
         J0 *= scale * 256.0 / 315.0
-        J0 *= b < 0
-        J1 = b * J0
+        J0 *= np.less(b, 0.0, out=t)
+        J1 = np.multiply(b, J0, out=d2)
         np.negative(J1, out=J1)
         return J0, J1
 
     # P(b) from (Delta - s^2)^4 = s^8 + c3 s^6 + c2 s^4 + c1 s^2 + Delta^4
-    u = b * b
-    acc = u / 9.0
-    for c in (delta * (-4.0 / 7.0), d2 * 1.2, d2 * delta * (-4.0 / 3.0)):
-        acc += c
-        acc *= u
+    np.multiply(b, b, out=u)
+    np.divide(u, 9.0, out=acc)
+    acc += np.multiply(delta, -4.0 / 7.0, out=t)
+    acc *= u
+    acc += np.multiply(d2, 1.2, out=t)
+    acc *= u
+    np.multiply(d2, delta, out=t)
+    acc += np.multiply(t, -4.0 / 3.0, out=t)
+    acc *= u
     acc += d4
     acc *= b
     J0 = np.sqrt(delta, out=delta)
@@ -284,27 +317,35 @@ def _ray_integrals(x, e, D, outside):
     J0 *= 128.0 / 315.0
     J0 -= acc
     J0 *= scale
-    J1 = b * J0
+    J1 = np.multiply(b, J0, out=d2)
     np.subtract(q * q * q * q * q * (scale / 10.0), J1, out=J1)
     return J0, J1
 
 
-def _kernel_sum(x, Y, w, D, outside):
+def _kernel_sum(x, Y, w, D, outside, work=None):
     """sum_j w_j k(x, y_j) over the last axis, as an (..., 2) array.
 
     k(x, y) = (x-y)/|x-y|^2 * (|x-y| J0 + J1), ``outside`` as in
     _ray_integrals.  x = (x0, x1) and Y = (y0, y1) are component arrays
     broadcasting to (..., n), as does w; coincident points add zero.
+    With ``work`` (12 rows, see _views) no pass allocates an array of
+    the broadcast shape.
     """
-    dx = x[0] - Y[0]
-    dy = x[1] - Y[1]
-    dist = dx * dx
-    dist += dy * dy
-    np.sqrt(dist, out=dist)
-    safe = dist + (dist == 0)
-    J0, J1 = _ray_integrals(x, (dx / safe, dy / safe), D, outside)
+    shape = np.broadcast_shapes(np.shape(x[0]), np.shape(Y[0]))
+    dx, dy, safe, e0, e1 = _views(work, shape, 5)
+    np.subtract(x[0], Y[0], out=dx)
+    np.subtract(x[1], Y[1], out=dy)
+    np.multiply(dx, dx, out=safe)
+    safe += np.multiply(dy, dy, out=e0)
+    np.sqrt(safe, out=safe)
+    safe += np.equal(safe, 0.0, out=e0)
+    np.divide(dx, safe, out=e0)
+    np.divide(dy, safe, out=e1)
+    J0, J1 = _ray_integrals(x, (e0, e1), D, outside,
+                            None if work is None else work[5:])
     J0 /= safe
-    J1 /= safe * safe
+    safe *= safe
+    J1 /= safe
     J0 += J1
     J0 *= w
     return np.stack([np.einsum("...n,...n->...", J0, dx),
@@ -338,17 +379,68 @@ def _singular_cells(X, C, h, D, outside):
     return -dtheta * np.einsum("sm,mc->sc", radial, n_dir)
 
 
+def _ray_hits(d, z, k, hit=None, work=None):
+    """Which rays leaving targets outside the ball along d = x - y meet it.
+
+    d = (dx, dy) and z = x - z0 = (zx, zy) are component arrays that
+    broadcast together, and k = |x - z0|^2 - rho^2 >= 0 broadcasts
+    with z.  The ray meets the ball iff d.z < 0 and (d.z)^2 > k |d|^2
+    (b < 0 and Delta > 0 of the module docstring, times |d|^2), tested
+    as one sign, (d.z)|d.z| + k |d|^2 < 0, without a root.  The passes
+    write into hit and three rows of work (see _views).
+    """
+    shape = np.broadcast_shapes(np.shape(d[0]), np.shape(z[0]))
+    dz, s, t = _views(work, shape, 3)
+    np.multiply(d[0], z[0], out=dz)
+    dz += np.multiply(d[1], z[1], out=t)
+    np.multiply(d[0], d[0], out=s)
+    s += np.multiply(d[1], d[1], out=t)
+    s *= k
+    s += np.multiply(np.abs(dz, out=t), dz, out=t)
+    return np.less(s, 0.0, out=hit)
+
+
+def _cone_misses(v, z, rho2, reach):
+    """Near cells that no subcell ray can carry to the ball, per row.
+
+    v = x - y_c and z = x - z0 are (P, 2) rows for targets x outside
+    the ball and cell centres y_c, whose subcells all lie within reach
+    of y_c.  The ball subtends the half-angle arcsin(rho/|z|) about
+    z0 - x, and the directions x - y the half-angle arcsin(reach/|v|)
+    about v, so no ray meets the ball when the angle between v and
+    z0 - x exceeds their sum.  Cells within reach of x are kept.
+    """
+    vv = np.sum(v * v, axis=1)
+    reach2 = reach * reach
+    angle = np.arctan2(np.abs(v[:, 0] * z[:, 1] - v[:, 1] * z[:, 0]),
+                       -np.sum(v * z, axis=1))
+    ball = np.arcsin(np.sqrt(rho2 / np.sum(z * z, axis=1)))
+    cell = np.arcsin(np.sqrt(reach2 / np.maximum(vv, reach2)))
+    return (vv > reach2) & (angle > ball + cell)
+
+
+def _scatter_add(U, rows, c):
+    """U[rows] += c, summing repeated rows in order, without BLAS."""
+    for k in (0, 1):
+        U[:, k] += np.bincount(rows, weights=c[:, k], minlength=U.shape[0])
+
+
 def _field_at(f, D, X, h):
     """The solution field at the rows of X, a (T, 2) array of points.
 
     f is a mean-zero clipped grid field of spacing h.  Targets go in
     blocks sized by _PAIR_BLOCK, those outside the mollifier ball apart
     from those inside.  Per block, cells more than _NEAR_RADIUS + 1/2
-    spacings away (Chebyshev) take the midpoint rule in one (B x N)
-    evaluation; nearer cells take the refined midpoint rule, gathered
-    as (pairs x subcells) and summed per target with np.bincount; the
-    cell holding a target takes the polar rule.  The sums avoid BLAS,
-    so the result does not depend on its thread count.
+    spacings away (Chebyshev) take the midpoint rule, nearer cells the
+    refined midpoint rule, gathered as (pairs x subcells), and the cell
+    holding a target the polar rule.  Inside targets evaluate their far
+    field as one (B x N) array.  For outside targets most rays miss the
+    ball and add exact zeros, so only far pairs that _ray_hits keeps
+    are evaluated, and near cells that _cone_misses drops are never
+    split into subcells; gathered pairs are summed per target with
+    np.bincount.  The block-sized passes write into work arrays made
+    once per call.  The sums avoid BLAS, so the result does not depend
+    on its thread count.
     """
     X = np.asarray(X, dtype=float)
     U = np.zeros((X.shape[0], 2))
@@ -362,6 +454,7 @@ def _field_at(f, D, X, h):
     offs = (np.arange(r) + 0.5) / r - 0.5
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
     sub_off = np.vstack([ox.ravel(), oy.ravel()]) * h
+    sub_reach = float(np.max(np.hypot(*sub_off)))
     sub_w = meas / (r * r) * vals
     near_reach = _NEAR_RADIUS * h + 0.5 * h
     own_reach = 0.5 * h * (1 + 1e-12)
@@ -370,29 +463,58 @@ def _field_at(f, D, X, h):
     side = 2 * math.floor(_NEAR_RADIUS + 0.5) + 1
     near_evals = side * side * r * r
     block = max(1, _PAIR_BLOCK // max(act.size, near_evals))
-    outside = np.sum((X - D.ball_center) ** 2, axis=1) >= D.ball_radius ** 2
+    # rows 0-1 hold kernel inputs (far weights or subcell centres), the
+    # other 12 are _kernel_sum's and, before it runs, the masks' passes
+    work = np.empty((14, block * max(act.size, near_evals)))
+    flags = np.empty((2, work.shape[1]), dtype=bool)
+    Z = X - D.ball_center
+    rho2 = D.ball_radius ** 2
+    excess = np.sum(Z * Z, axis=1) - rho2
     for out in (True, False):
-        targets = np.nonzero(outside == out)[0]
+        targets = np.nonzero((excess >= 0) == out)[0]
         for t0 in range(0, targets.size, block):
             rows = targets[t0:t0 + block]
             Xb = X[rows]
             xb = Xb.T[:, :, None]
-            cheb = np.maximum(np.abs(xb[0] - Yc[0]), np.abs(xb[1] - Yc[1]))
-            near = cheb <= near_reach
-            Ub = _kernel_sum(xb, Yc, np.where(near, 0.0, w), D, out)
+            shape = (rows.size, act.size)
+            dx, dy, cheb, t = _views(work[2:], shape, 4)
+            near, hit = _views(flags, shape, 2)
+            np.subtract(xb[0], Yc[0], out=dx)
+            np.subtract(xb[1], Yc[1], out=dy)
+            np.maximum(np.abs(dx, out=cheb), np.abs(dy, out=t), out=cheb)
+            np.less_equal(cheb, near_reach, out=near)
 
             # the cell holding a target is left to the polar rule
             own = np.argmin(cheb, axis=1)
-            holds = cheb[np.arange(Xb.shape[0]), own] < own_reach
-            bi, j = np.nonzero(near)
+            holds = cheb[np.arange(rows.size), own] < own_reach
+            # flat indices: nonzero of a 2-d mask is several times slower
+            bi, j = np.divmod(np.flatnonzero(near), act.size)
             keep = ~(holds[bi] & (j == own[bi]))
             bi, j = bi[keep], j[keep]
+            if out:
+                zb = Z[rows].T[:, :, None]
+                _ray_hits((dx, dy), zb, excess[rows, None], hit,
+                          work[6:])
+                hit &= np.logical_not(near, out=near)
+                fi, fj = np.divmod(np.flatnonzero(hit), act.size)
+                Ub = np.zeros((rows.size, 2))
+                _scatter_add(Ub, fi, _kernel_sum(
+                    xb[:, fi], Yc[:, fj, None], w[fj, None], D, True,
+                    work[2:]))
+                keep = ~_cone_misses(Xb[bi] - Y[j], Z[rows[bi]], rho2,
+                                     sub_reach)
+                bi, j = bi[keep], j[keep]
+            else:
+                wb = _views(work, shape, 1)[0]
+                np.copyto(wb, w)
+                np.copyto(wb, 0.0, where=near)
+                Ub = _kernel_sum(xb, Yc, wb, D, False, work[2:])
             if bi.size:
-                sub = Yc[:, j, None] + sub_off[:, None, :]
-                c = _kernel_sum(xb[:, bi], sub, sub_w[j, None], D, out)
+                sub = _views(work, (bi.size, r * r), 2)
                 for k in (0, 1):
-                    Ub[:, k] += np.bincount(bi, weights=c[:, k],
-                                            minlength=Xb.shape[0])
+                    np.add(Yc[k, j, None], sub_off[k], out=sub[k])
+                _scatter_add(Ub, bi, _kernel_sum(
+                    xb[:, bi], sub, sub_w[j, None], D, out, work[2:]))
             if np.any(holds):
                 o = own[holds]
                 Ub[holds] += vals[o][:, None] * _singular_cells(

@@ -81,8 +81,8 @@ def _bisect_boundary_log(pred_u, shape, lo=-745.0, hi=_U_MAX):
     changes it, so the search stops there with the result of all
     _BISECT_ITERS steps.
     """
-    lo_arr = np.full(shape, float(lo))
-    hi_arr = np.full(shape, float(hi))
+    lo_arr = np.full(shape, lo, dtype=float)
+    hi_arr = np.full(shape, hi, dtype=float)
     ok_lo = pred_u(lo_arr)
     ok_hi = pred_u(hi_arr)
     for _ in range(_BISECT_ITERS):
@@ -640,7 +640,7 @@ def _flip_tabulated(A):
 # numeric conjugation
 
 
-def _invert_density_logdomain(A, sigma):
+def _invert_density_logdomain(A, sigma, lo=-745.0, hi=_U_MAX):
     """log of the density inverse, searched in the log variable.
 
     The largest u with a(e^u) < sigma, for each target sigma.  Targets
@@ -648,7 +648,7 @@ def _invert_density_logdomain(A, sigma):
     the table nodes that _invert_density_table leaves open, probe in
     runs of equal midpoints.  The density is evaluated once per run of
     bitwise-equal midpoints, so each target sees the value it would see
-    on its own.
+    on its own.  lo and hi bound the search, per target or for all.
     """
     sigma = np.asarray(sigma, float)
 
@@ -660,7 +660,7 @@ def _invert_density_logdomain(A, sigma):
         runs = np.diff(np.append(start, flat.size))
         return np.repeat(dens, runs).reshape(u.shape) < sigma
 
-    return _bisect_boundary_log(pred_u, sigma.shape)
+    return _bisect_boundary_log(pred_u, sigma.shape, lo, hi)
 
 
 def _invert_density_table(A, sigma):
@@ -668,7 +668,11 @@ def _invert_density_table(A, sigma):
     within _CONJ_RTOL * max(1, |u|) in u, from a few density
     evaluations per target.
 
-    The two end targets are bisected.  The density on a uniform grid of
+    The two end targets are bisected, each from its bracket on a grid
+    of _CONJ_GRID_POINTS values of u sinh-spaced over the whole search
+    range: where the density is monotone in floating point, that ends
+    on the same adjacent doubles as a search of the whole range, in
+    about 30 fewer steps.  The density on a uniform grid of
     u between their inverses is a monotone column of pairs (a(e^u), u),
     the parametric form of the Legendre transform (Rockafellar, Convex
     Analysis, section 26), and a search of the targets in that column
@@ -680,7 +684,13 @@ def _invert_density_table(A, sigma):
     log sigma sits at rounding level), is bisected.
     """
     u = np.empty(sigma.size)
-    u[[0, -1]] = ends = _invert_density_logdomain(A, sigma[[0, -1]])
+    grid = np.sinh(np.linspace(math.asinh(-745.0), math.asinh(_U_MAX),
+                               _CONJ_GRID_POINTS))
+    grid[[0, -1]] = -745.0, _U_MAX
+    k = np.searchsorted(A.density_logarg(grid), sigma[[0, -1]])
+    u[[0, -1]] = ends = _invert_density_logdomain(
+        A, sigma[[0, -1]], grid[np.maximum(k - 1, 0)],
+        grid[np.minimum(k, grid.size - 1)])
     pending = np.ones(sigma.size, bool)
     pending[[0, -1]] = False
     if np.all(np.isfinite(ends)) and ends[0] < ends[1]:

@@ -21,6 +21,7 @@ from orlicz import bogovskii
 from orlicz.bogovskii import (
     DomainDecomposition,
     StarDomain,
+    _kernel_sum,
     _ray_integrals,
     bogovskii_apply,
     bogovskii_field,
@@ -35,6 +36,7 @@ from orlicz.spaces import SampledField, luxemburg_norm, modular
 from orlicz.young import exponential, linear_cap, power, zygmund
 
 DISK = StarDomain.disk(radius=1.0)
+SQUARE = StarDomain.rectangle((0.0, 0.0), (1.0, 1.0))
 
 
 def kink(X, Y):
@@ -60,6 +62,9 @@ def test_mollifier_integrates_to_one():
     assert abs(DISK.mollifier_mass() - 1.0) < 1e-8
     R = StarDomain.rectangle((0.0, 0.0), (2.0, 1.0))
     assert abs(R.mollifier_mass() - 1.0) < 1e-8
+    # the 400^2 midpoint sum of the point-array evaluation it replaced
+    assert abs(DISK.mollifier_mass() - 1.0000000000000586) <= 1e-15
+    assert abs(R.mollifier_mass() - 1.0000000000000586) <= 1e-15
 
 
 def test_mollifier_support():
@@ -241,22 +246,133 @@ def test_point_evaluation_is_continuous_inside_a_cell():
             assert np.max(np.abs(u - U[k])) <= 1e-2 * np.max(np.abs(U[k]))
 
 
-def test_point_evaluation_matches_field_on_both_sides_of_the_ball(disk32):
+@pytest.fixture(scope="module")
+def square32():
+    f = grid_field(SQUARE, lambda X, Y: np.sin(3.0 * X) + X * Y - Y, 32)
+    return bogovskii_field(f, SQUARE)
+
+
+def test_point_evaluation_matches_field_on_both_sides_of_the_ball(disk32,
+                                                                  square32):
     # the field runs targets outside and inside the mollifier ball in
     # separate blocks and writes them back in cell order; each cell
     # evaluated alone must read the same
-    f, U = disk32["f"], disk32["u"].values
-    d = np.linalg.norm(f.centroids - DISK.ball_center, axis=1)
-    rho = DISK.ball_radius
-    inner = np.nonzero(d < rho)[0]
-    outer = np.nonzero((d >= rho) & (f.measures > 0))[0]
-    ghost = np.nonzero(f.measures == 0)[0]
-    cells = [inner[np.argmin(d[inner])], inner[np.argmax(d[inner])],
-             outer[np.argmin(d[outer])], outer[np.argmax(d[outer])],
-             ghost[np.argmin(d[ghost])]]
-    for k in cells:
-        u = bogovskii_apply(f, f.centroids[k], DISK)
-        assert np.max(np.abs(u - U[k])) <= 1e-13 * np.max(np.abs(U[k]))
+    for rep, D in ((disk32, DISK), (square32, SQUARE)):
+        f, U = rep["f"], rep["u"].values
+        d = np.linalg.norm(f.centroids - D.ball_center, axis=1)
+        rho = D.ball_radius
+        inner = np.nonzero(d < rho)[0]
+        outer = np.nonzero((d >= rho) & (f.measures > 0))[0]
+        ghost = np.nonzero(f.measures == 0)[0]
+        cells = [inner[np.argmin(d[inner])], inner[np.argmax(d[inner])],
+                 outer[np.argmin(d[outer])], outer[np.argmax(d[outer])]]
+        if ghost.size:
+            cells.append(ghost[np.argmin(d[ghost])])
+        for k in cells:
+            u = bogovskii_apply(f, f.centroids[k], D)
+            assert np.max(np.abs(u - U[k])) <= 1e-13 * np.max(np.abs(U[k]))
+
+
+@pytest.mark.parametrize("D", [DISK, SQUARE], ids=["disk", "square"])
+def test_culled_pairs_add_exact_zeros(D):
+    # Outside the ball, _field_at evaluates only the far pairs _ray_hits
+    # keeps and splits only the near cells _cone_misses keeps.  Every
+    # dropped ray must integrate to exactly zero, so the culled sums
+    # equal the full ones over all far cells and all subcells, and the
+    # field equals those full sums plus the polar rule.
+    n = 16
+    f = grid_field(D, kink, n).mean_zero_project()
+    h = float(f.centroids[n, 0] - f.centroids[0, 0])
+    act = (f.measures > 0) & (f.values != 0)
+    Y, w = f.centroids[act], (f.measures * f.values)[act]
+    rho2 = D.ball_radius ** 2
+    r = bogovskii._NEAR_REFINE
+    offs = ((np.arange(r) + 0.5) / r - 0.5) * h
+    sub_off = np.array([(a, b) for a in offs for b in offs])
+    reach = float(np.max(np.linalg.norm(sub_off, axis=1)))
+    d_ball = np.linalg.norm(f.centroids - D.ball_center, axis=1)
+    outer = np.nonzero(d_ball >= D.ball_radius)[0]
+    outer = outer[np.argsort(d_ball[outer])]
+    targets = f.centroids[outer[np.linspace(0, outer.size - 1, 10)
+                                .astype(int)]]
+    dropped = kept = 0
+    for x in targets:
+        z = x - D.ball_center
+        d = x - Y
+        cheb = np.max(np.abs(d), axis=1)
+        near = cheb <= (bogovskii._NEAR_RADIUS + 0.5) * h
+        own = cheb < 0.5 * h * (1 + 1e-12)
+        far = ~near
+
+        hits = bogovskii._ray_hits(d.T, z, z @ z - rho2)
+        full_far = _kernel_sum(x, Y[far].T, w[far], D, True)
+        culled_far = _kernel_sum(x, Y[far & hits].T, w[far & hits], D, True)
+        miss = far & ~hits
+        e = d[miss] / np.linalg.norm(d[miss], axis=1)[:, None]
+        J0, J1 = _ray_integrals(x, e.T, D, True)
+        assert np.all(J0 == 0.0) and np.all(J1 == 0.0)
+
+        cells = np.nonzero(near & ~own)[0]
+        cut = bogovskii._cone_misses(x - Y[cells], np.tile(z, (cells.size, 1)),
+                                     rho2, reach)
+        sums = []
+        for c, drop in zip(cells, cut):
+            sub = Y[c] + sub_off
+            sums.append(_kernel_sum(x, sub.T, np.full(r * r, w[c] / (r * r)),
+                                    D, True))
+            if drop:
+                e = (x - sub) / np.linalg.norm(x - sub, axis=1)[:, None]
+                J0, J1 = _ray_integrals(x, e.T, D, True)
+                assert np.all(J0 == 0.0) and np.all(J1 == 0.0)
+        full_near = np.sum(sums, axis=0)
+        culled_near = np.sum([s for s, drop in zip(sums, cut) if not drop],
+                             axis=0)
+
+        scale = np.max(np.abs(full_far)) + np.max(np.abs(full_near))
+        assert np.max(np.abs(culled_far - full_far)) <= 1e-14 * scale
+        assert np.max(np.abs(culled_near - full_near)) <= 1e-14 * scale
+        whole = full_far + full_near
+        if np.any(own):
+            o = np.nonzero(own)[0][0]
+            whole = whole + f.values[act][o] * bogovskii._singular_cells(
+                x[None], Y[o][None], h, D, True)[0]
+        got = bogovskii._field_at(f, D, x[None], h)[0]
+        assert np.max(np.abs(got - whole)) <= 1e-14 * np.max(np.abs(whole))
+        dropped += np.count_nonzero(miss) + np.count_nonzero(cut)
+        kept += np.count_nonzero(far & hits) + np.count_nonzero(~cut)
+    assert dropped > 0 and kept > 0
+
+
+def test_outside_targets_evaluate_few_pairs(monkeypatch):
+    # a work count, not a timing: far pairs reach _kernel_sum as
+    # (pairs, 1) arrays, near cells as (cells, subcells); about 1% of
+    # the far pairs and a quarter of the near cells of targets outside
+    # the ball can carry a ray to it
+    f = grid_field(DISK, kink, 32)
+    shapes = []
+    kernel_sum = bogovskii._kernel_sum
+
+    def counting(x, Y, w, D, outside, work=None):
+        if outside:
+            shapes.append(np.broadcast_shapes(np.shape(x[0]),
+                                              np.shape(Y[0])))
+        return kernel_sum(x, Y, w, D, outside, work)
+
+    monkeypatch.setattr(bogovskii, "_kernel_sum", counting)
+    bogovskii_field(f, DISK)
+    far_evaluated = sum(s[0] for s in shapes if s[-1] == 1)
+    near_evaluated = sum(s[0] for s in shapes if s[-1] > 1)
+
+    h = 2.0 / 32
+    act = f.centroids[(f.measures > 0) & (f.values != 0)]
+    X = f.centroids[np.linalg.norm(f.centroids - DISK.ball_center, axis=1)
+                    >= DISK.ball_radius]
+    cheb = np.max(np.abs(X[:, None, :] - act[None, :, :]), axis=2)
+    near = cheb <= (bogovskii._NEAR_RADIUS + 0.5) * h
+    far_pairs = np.count_nonzero(~near)
+    near_pairs = np.count_nonzero(near & (cheb >= 0.5 * h))
+    assert 0 < far_evaluated <= 0.05 * far_pairs
+    assert 0 < near_evaluated <= 0.5 * near_pairs
 
 
 def _shuffled(f):

@@ -218,8 +218,8 @@ def test_conjugate_table_lookup_matches_pchip(spec, monkeypatch):
 def _fixed_step_bisection(pred_u, shape, lo=-745.0, hi=young._U_MAX):
     """young._bisect_boundary_log without its early stop: always
     young._BISECT_ITERS steps, each probing every target."""
-    lo_arr = np.full(shape, float(lo))
-    hi_arr = np.full(shape, float(hi))
+    lo_arr = np.full(shape, lo, dtype=float)
+    hi_arr = np.full(shape, hi, dtype=float)
     ok_lo = pred_u(lo_arr)
     ok_hi = pred_u(hi_arr)
     for _ in range(young._BISECT_ITERS):
