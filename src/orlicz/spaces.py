@@ -16,7 +16,11 @@ The two averaging operators
 are evaluated in closed form on step inputs; the results live in
 :class:`HardyProfile`, a piecewise function of the form c + d/s +
 e*log(1/s) whose integrals of first and second powers are again exact.
-No quadrature is used anywhere in this module.
+Both operators, both integrals and the step bounds work on all cells at
+once as arrays: H accumulates the mass left of each cell and G the tail
+right of it with cumulative sums, and the integrals add their per-cell
+closed forms with :func:`math.fsum`.  No quadrature is used anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -576,43 +580,36 @@ class HardyProfile:
         c, d, e = self.coeffs[idx].T
         return c + d / s + e * np.log(1.0 / s)
 
+    def _from_zero(self, d, what):
+        # cells starting at 0 (edge a <= 0): their 1/s term must vanish,
+        # and a stand-in a = 1 keeps their dropped antiderivative finite
+        a = self.edges[:-1]
+        pos = a > 0
+        if np.any(d[~pos] != 0.0):
+            raise ValueError("1/s term is not %s down to 0" % what)
+        return pos, np.where(pos, a, 1.0)
+
     def integral(self):
         """Exact integral over (0, T]."""
-        total = 0.0
-        for k in range(self.coeffs.shape[0]):
-            a, b = self.edges[k], self.edges[k + 1]
-            c, d, e = self.coeffs[k]
-            seg = c * (b - a) + e * (b * (1 - math.log(b)) - (a * (1 - math.log(a)) if a > 0 else 0.0))
-            if d != 0.0:
-                if a <= 0:
-                    raise ValueError("1/s term is not integrable down to 0")
-                seg += d * math.log(b / a)
-            total += seg
-        return total
+        a, b = self.edges[:-1], self.edges[1:]
+        c, d, e = self.coeffs.T
+        pos, a1 = self._from_zero(d, "integrable")
+        ga = np.where(pos, a * (1 - np.log(a1)), 0.0)  # s (1 - log s) at a
+        return _fsum(c * (b - a) + e * (b * (1 - np.log(b)) - ga) + d * np.log(b / a1))
 
     def integral_sq(self):
         """Exact integral of the square over (0, T]."""
+        c, d, e = self.coeffs.T
+        pos, a1 = self._from_zero(d, "square integrable")
 
-        def F(s, c, d, e):
-            ls = math.log(s)
-            val = c * c * s + 2 * c * e * s * (1 - ls) \
-                + e * e * s * (ls * ls - 2 * ls + 2)
-            if d != 0.0:
-                val += 2 * c * d * ls - d * d / s - d * e * ls * ls
-            return val
+        def F(s):
+            ls = np.log(s)
+            return c * c * s + 2 * c * e * s * (1 - ls) \
+                + e * e * s * (ls * ls - 2 * ls + 2) \
+                + (2 * c * d * ls - d * d / s - d * e * ls * ls)
 
-        total = 0.0
-        for k in range(self.coeffs.shape[0]):
-            a, b = self.edges[k], self.edges[k + 1]
-            c, d, e = self.coeffs[k]
-            if a <= 0:
-                if d != 0.0:
-                    raise ValueError("1/s term is not square integrable down to 0")
-                lo = 0.0  # every remaining antiderivative term vanishes at 0
-            else:
-                lo = F(a, c, d, e)
-            total += F(b, c, d, e) - lo
-        return total
+        # on a cell from 0 every antiderivative term vanishes there
+        return _fsum(F(self.edges[1:]) - np.where(pos, F(a1), 0.0))
 
     def step_bounds(self, refine=128):
         """Non-increasing step minorant and majorant (lower, upper).
@@ -622,67 +619,51 @@ class HardyProfile:
         only a majorant on (eps, T]; callers comparing norms against a
         calibrated constant absorb the truncation.
         """
-        knots = [0.0]
-        lo_vals, hi_vals = [], []
-        for k in range(self.coeffs.shape[0]):
-            a, b = self.edges[k], self.edges[k + 1]
-            c, d, e = self.coeffs[k]
-            if a <= 0:
-                if d == 0.0 and e == 0.0:
-                    sub = np.array([b])  # constant cell, no refining needed
-                    a_eff = b  # left sample equals the constant
-                    left_first = c
-                else:
-                    a_eff = 1e-9 * self.total
-                    sub = np.geomspace(a_eff, b, refine + 1)[1:]
-                    left_first = self._eval_with(np.array([k]), np.array([a_eff]))[0]
+        first = int(self.edges[0] <= 0)  # a cell from 0 has no geometric grid
+        a, b = self.edges[first:-1], self.edges[first + 1:]
+        t = np.arange(1, refine + 1) / refine
+        rights = a[:, None] * (b / a)[:, None] ** t
+        lefts = np.column_stack([a, rights[:, :-1]])
+        r0 = l0 = np.empty(0)
+        if first:
+            _, d, e = self.coeffs[0]
+            if d == 0.0 and e == 0.0:
+                r0 = l0 = self.edges[1:2]  # constant cell, no refining needed
             else:
-                a_eff = a
-                sub = a * (b / a) ** (np.arange(1, refine + 1) / refine)
-                left_first = self._eval_with(np.array([k]), np.array([a]))[0]
-            rights = self._eval_with(np.full(sub.size, k, dtype=int), sub)
-            lefts = np.concatenate([[left_first], rights[:-1]])
-            knots.extend(sub.tolist())
-            lo_vals.extend(rights.tolist())
-            hi_vals.extend(np.maximum(lefts, rights).tolist())
-        bp = np.array(knots[1:])
-        return (StepFunction(bp, np.array(lo_vals)),
-                StepFunction(bp, np.array(hi_vals)))
-
-    def luxemburg_bracket(self, A, refine=128):
-        """(lower, upper) Luxemburg norms from the monotone step bounds."""
-        lo, hi = self.step_bounds(refine=refine)
-        return luxemburg_norm(lo, A), luxemburg_norm(hi, A)
+                g = np.geomspace(1e-9 * self.total, self.edges[1], refine + 1)
+                r0, l0 = g[1:], g[:-1]
+        idx = np.concatenate([np.zeros(r0.size, dtype=int),
+                              np.repeat(np.arange(first, len(self.coeffs)), refine)])
+        knots = np.concatenate([r0, rights.ravel()])
+        starts = np.concatenate([l0, lefts.ravel()])
+        lo = self._eval_with(idx, knots)
+        # monotone on each subcell, so the larger end value bounds it
+        hi = np.maximum(self._eval_with(idx, starts), lo)
+        return StepFunction(knots, lo), StepFunction(knots, hi)
 
 
 def hardy_average(phi):
     """(1/s) integral_0^s phi, exactly, for a step function phi."""
     if not isinstance(phi, StepFunction):
         phi = rearrange(phi)
-    cum = 0.0
-    coeffs = np.zeros((phi.n_cells, 3))
-    for k in range(phi.n_cells):
-        a = phi.edges[k]
-        v = phi.values[k]
-        coeffs[k] = (v, cum - v * a, 0.0)
-        cum += v * phi.widths[k]
-    return HardyProfile(phi.edges, coeffs)
+    v = phi.values
+    # mass left of each cell, accumulated left to right
+    cum = np.concatenate([[0.0], np.cumsum(v * phi.widths)[:-1]])
+    return HardyProfile(phi.edges, np.column_stack(
+        [v, cum - v * phi.edges[:-1], np.zeros_like(v)]))
 
 
 def hardy_dual(phi):
     """integral_s^T phi(r)/r dr, exactly, for a step function phi."""
     if not isinstance(phi, StepFunction):
         phi = rearrange(phi)
-    n = phi.n_cells
-    coeffs = np.zeros((n, 3))
-    tail = 0.0
-    for k in range(n - 1, -1, -1):
-        a, b = phi.edges[k], phi.edges[k + 1]
-        v = phi.values[k]
-        coeffs[k] = (tail + v * math.log(b), 0.0, v)
-        if k > 0:
-            tail += v * math.log(b / a)
-    return HardyProfile(phi.edges, coeffs)
+    v, a, b = phi.values, phi.edges[:-1], phi.edges[1:]
+    # integral of phi(r)/r right of each cell, accumulated right to left;
+    # the first cell, from 0, is never to the right of another
+    tail = np.zeros_like(v)
+    tail[:-1] = np.cumsum((v[1:] * np.log(b[1:] / a[1:]))[::-1])[::-1]
+    return HardyProfile(phi.edges, np.column_stack(
+        [tail + v * np.log(b), np.zeros_like(v), v]))
 
 
 def rearrangement_bound_rhs(f, s, C):

@@ -623,11 +623,8 @@ def _flip_tabulated(A):
         # the first knot there; a duplicated abscissa encodes the jump
         fr = np.concatenate([[fr[0]], fr])
         fa = np.concatenate([[0.0], fa])
-    keep = [0]
-    for i in range(1, fr.size):
-        if fr[i] == fr[keep[-1]] and fa[i] == fa[keep[-1]]:
-            continue  # exactly repeated pair carries no information
-        keep.append(i)
+    # an exactly repeated pair carries no information
+    keep = np.concatenate([[True], (fr[1:] != fr[:-1]) | (fa[1:] != fa[:-1])])
     fr = fr[keep]
     fa = fa[keep]
     if fr.size < 2:

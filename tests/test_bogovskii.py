@@ -489,6 +489,33 @@ def test_divergence_integral_vanishes():
     assert abs(total) < 1e-12
 
 
+def _erode_loop(inside, rings):
+    # the rolled 3 x 3 erosion the interior mask was first written with
+    interior = inside.copy()
+    for _ in range(rings):
+        nxt = interior.copy()
+        for sx in (-1, 0, 1):
+            for sy in (-1, 0, 1):
+                nxt &= np.roll(np.roll(interior, sx, axis=0), sy, axis=1)
+        interior = nxt
+    interior[:rings, :] = interior[-rings:, :] = False
+    interior[:, :rings] = interior[:, -rings:] = False
+    return interior
+
+
+def test_erode_matches_the_rolled_loop():
+    rng = np.random.default_rng(25)
+    masks = [(grid_field(DISK, kink, n).measures > 0).reshape(n, n)
+             for n in (16, 32, 64, 128)]
+    for _ in range(200):
+        shape = rng.integers(3, 70, size=2)
+        masks.append(rng.random(shape) < rng.uniform(0.5, 0.99))
+    for inside in masks:
+        for rings in (1, 2, 3):
+            assert np.array_equal(bogovskii._erode(inside, rings),
+                                  _erode_loop(inside, rings))
+
+
 # -- measured constants ---------------------------------------------------
 
 
@@ -604,6 +631,7 @@ def test_rearrangement_zero_density():
     r = check_rearrangement_estimate(rep["f"], rep["gradient"], 1.0)
     assert r["ok"]
     assert np.all(r["lhs"] == 0.0) and np.all(r["rhs"] == 0.0)
+    assert r["least_C"] == 0.0
 
 
 # -- splitting over a decomposition ---------------------------------------

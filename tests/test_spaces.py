@@ -434,7 +434,7 @@ def test_profile_step_bounds_bracket():
     s = np.geomspace(1e-3, 1.0, 50)
     assert np.all(lo(s) <= H(s) * (1 + 1e-12))
     assert np.all(hi(s) >= H(s) * (1 - 1e-12))
-    nlo, nhi = H.luxemburg_bracket(power(2), refine=128)
+    nlo, nhi = (luxemburg_norm(g, power(2)) for g in H.step_bounds(refine=128))
     exact = math.sqrt(H.integral_sq())  # L2 norm has a closed form
     assert nlo <= exact * (1 + 1e-9) and exact <= nhi * (1 + 1e-9)
     assert (nhi - nlo) / nhi < 0.01
@@ -463,10 +463,161 @@ def test_hardy_boundedness_on_balance_pairs():
             na = luxemburg_norm(phi, A)
             if na == 0:
                 continue
-            _, h_hi = hardy_average(phi).luxemburg_bracket(B, refine=64)
-            _, g_hi = hardy_dual(phi).luxemburg_bracket(B, refine=64)
+            h_hi = luxemburg_norm(hardy_average(phi).step_bounds(refine=64)[1], B)
+            g_hi = luxemburg_norm(hardy_dual(phi).step_bounds(refine=64)[1], B)
             assert h_hi <= 4.0 * na, (A.kind, A.params, h_hi / na)
             assert g_hi <= 4.0 * na, (A.kind, A.params, g_hi / na)
+
+
+# The cell loops the Hardy operators and profiles were written with,
+# kept as references for the array code.
+
+
+def _hardy_average_loop(phi):
+    cum = 0.0
+    coeffs = np.zeros((phi.n_cells, 3))
+    for k in range(phi.n_cells):
+        a = phi.edges[k]
+        v = phi.values[k]
+        coeffs[k] = (v, cum - v * a, 0.0)
+        cum += v * phi.widths[k]
+    return coeffs
+
+
+def _hardy_dual_loop(phi):
+    n = phi.n_cells
+    coeffs = np.zeros((n, 3))
+    tail = 0.0
+    for k in range(n - 1, -1, -1):
+        a, b = phi.edges[k], phi.edges[k + 1]
+        v = phi.values[k]
+        coeffs[k] = (tail + v * math.log(b), 0.0, v)
+        if k > 0:
+            tail += v * math.log(b / a)
+    return coeffs
+
+
+def _integral_terms_loop(P):
+    terms = []
+    for k in range(P.coeffs.shape[0]):
+        a, b = P.edges[k], P.edges[k + 1]
+        c, d, e = P.coeffs[k]
+        seg = c * (b - a) + e * (b * (1 - math.log(b)) - (
+            a * (1 - math.log(a)) if a > 0 else 0.0))
+        if d != 0.0:
+            if a <= 0:
+                raise ValueError("1/s term is not integrable down to 0")
+            seg += d * math.log(b / a)
+        terms.append(seg)
+    return terms
+
+
+def _integral_sq_terms_loop(P):
+
+    def F(s, c, d, e):
+        ls = math.log(s)
+        val = c * c * s + 2 * c * e * s * (1 - ls) \
+            + e * e * s * (ls * ls - 2 * ls + 2)
+        if d != 0.0:
+            val += 2 * c * d * ls - d * d / s - d * e * ls * ls
+        return val
+
+    terms = []
+    for k in range(P.coeffs.shape[0]):
+        a, b = P.edges[k], P.edges[k + 1]
+        c, d, e = P.coeffs[k]
+        if a <= 0:
+            if d != 0.0:
+                raise ValueError("1/s term is not square integrable down to 0")
+            lo = 0.0
+        else:
+            lo = F(a, c, d, e)
+        terms.append(F(b, c, d, e) - lo)
+    return terms
+
+
+def _running_sum(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def _step_bounds_loop(P, refine):
+    knots = [0.0]
+    lo_vals, hi_vals = [], []
+    for k in range(P.coeffs.shape[0]):
+        a, b = P.edges[k], P.edges[k + 1]
+        c, d, e = P.coeffs[k]
+        if a <= 0:
+            if d == 0.0 and e == 0.0:
+                sub = np.array([b])
+                left_first = c
+            else:
+                a_eff = 1e-9 * P.total
+                sub = np.geomspace(a_eff, b, refine + 1)[1:]
+                left_first = P._eval_with(np.array([k]), np.array([a_eff]))[0]
+        else:
+            sub = a * (b / a) ** (np.arange(1, refine + 1) / refine)
+            left_first = P._eval_with(np.array([k]), np.array([a]))[0]
+        rights = P._eval_with(np.full(sub.size, k, dtype=int), sub)
+        lefts = np.concatenate([[left_first], rights[:-1]])
+        knots.extend(sub.tolist())
+        lo_vals.extend(rights.tolist())
+        hi_vals.extend(np.maximum(lefts, rights).tolist())
+    return np.array(knots[1:]), np.array(lo_vals), np.array(hi_vals)
+
+
+def _hardy_corpus():
+    """(step function, refine): random steps, some with zero tails, then
+    the rearranged kink density on the unit disk at 16^2 to 128^2."""
+    from orlicz.bogovskii import StarDomain, grid_field
+
+    rng = np.random.default_rng(25)
+    out = []
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        w = rng.uniform(0.01, 1.0, size=n)
+        v = np.sort(rng.uniform(0.0, 5.0, size=n))[::-1]
+        if rng.random() < 0.3:
+            v[rng.integers(0, n):] = 0.0
+        out.append((StepFunction(np.cumsum(w), v, widths=w), 128))
+    disk = StarDomain.disk(radius=1.0)
+    for n in (16, 32, 64, 128):
+        f = grid_field(disk, lambda X, Y: np.sqrt(X ** 2 + Y ** 2) - 2.0 / 3.0, n)
+        out.append((rearrange(f), 16))
+    return out
+
+
+def test_hardy_operators_match_the_cell_loops():
+    for phi, refine in _hardy_corpus():
+        H, G = hardy_average(phi), hardy_dual(phi)
+        # left-to-right cumsum adds in the loop's order
+        assert np.array_equal(H.coeffs, _hardy_average_loop(phi))
+        # np.log and math.log may differ in the last place
+        assert np.allclose(G.coeffs, _hardy_dual_loop(phi), rtol=1e-15, atol=0.0)
+        for P in (H, G):
+            for got, terms in ((P.integral(), _integral_terms_loop(P)),
+                               (P.integral_sq(), _integral_sq_terms_loop(P))):
+                # the same cell terms, now summed exactly; the loop's
+                # running sum errs by at most (cells - 1) roundings
+                assert got == pytest.approx(math.fsum(terms), rel=1e-15)
+                assert got == pytest.approx(_running_sum(terms), rel=max(
+                    1e-15, len(terms) * np.finfo(float).eps))
+            lo, hi = P.step_bounds(refine=refine)
+            knots, lo_vals, hi_vals = _step_bounds_loop(P, refine)
+            assert np.array_equal(lo.edges[1:], knots)
+            assert np.array_equal(hi.edges[1:], knots)
+            assert np.allclose(lo.values, lo_vals, rtol=1e-15, atol=0.0)
+            assert np.allclose(hi.values, hi_vals, rtol=1e-15, atol=0.0)
+
+
+def test_profile_integrals_reject_a_pole_at_zero():
+    P = sp.HardyProfile([0.0, 0.5, 1.0], [[1.0, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="not integrable down to 0"):
+        P.integral()
+    with pytest.raises(ValueError, match="not square integrable down to 0"):
+        P.integral_sq()
 
 
 def test_rearrangement_bound_rhs_values():

@@ -666,6 +666,39 @@ def test_tabulated_conjugate_value():
     assert np.allclose(At(sig), brute, atol=2e-4)
 
 
+def _flip_loop(r, a):
+    # the knot loop the tabulated conjugate was first written with
+    fr, fa = a, r
+    if fr[0] > 0.0:
+        fr = np.concatenate([[fr[0]], fr])
+        fa = np.concatenate([[0.0], fa])
+    keep = [0]
+    for i in range(1, fr.size):
+        if fr[i] == fr[keep[-1]] and fa[i] == fa[keep[-1]]:
+            continue
+        keep.append(i)
+    fr, fa = fr[keep], fa[keep]
+    if fr.size < 2:
+        fr = np.concatenate([fr, [fr[-1] * 2.0 + 1.0]])
+        fa = np.concatenate([fa, [fa[-1]]])
+    return fr, fa
+
+
+def test_tabulated_flip_matches_the_knot_loop():
+    # non-decreasing knot sequences with repeated abscissae, repeated
+    # densities and exactly repeated pairs, as flips produce them
+    rng = np.random.default_rng(25)
+    for _ in range(2000):
+        n = int(rng.integers(1, 12))
+        r = np.cumsum(rng.choice([0.0, 0.5, 1.0], size=n))
+        a = np.cumsum(rng.choice([0.0, 0.0, 0.25, 2.0], size=n))
+        A = young._tabulated_from_knots(r, a)
+        got = young._flip_tabulated(A).knots
+        want = _flip_loop(r, a)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
