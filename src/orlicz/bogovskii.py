@@ -662,8 +662,8 @@ def check_rearrangement_estimate(f, gradient_field, C, n_s=100):
 
     Returns the pointwise comparison plus the least C that would make
     the inequality hold on this sample (useful for calibration): 0 when
-    both sides vanish at every s, inf when only the right side does
-    somewhere.
+    both sides vanish at every s, inf when the right side vanishes at
+    some s where the left side does not.
     """
     gstar = rearrange(gradient_field.magnitude_field())
     fstar = rearrange(f)
